@@ -305,8 +305,8 @@ impl SimTrainer {
 
     /// Run `warmup + steps` training steps; the profile and timeline cover
     /// only the measured window. Blocking form of [`SimTrainer::program`],
-    /// driven in place — context cores and the driven engine execute the
-    /// identical state machine.
+    /// driven in place — the event context core and the driven engine
+    /// execute the identical state machine.
     pub fn run(&self, comm: &mut Comm, warmup: usize, steps: usize) -> RankRun {
         drive_program(comm, self.program(warmup, steps))
     }
@@ -348,7 +348,8 @@ enum SimPhase {
 /// One rank's training run as a resumable [`RankProgram`]: synchronous
 /// compute segments happen in `next`, every communication round is yielded
 /// as a task the engine can park mid-flight. [`SimTrainer::run`] drives
-/// this same machine on the context cores, so the two paths cannot drift.
+/// this same machine on the event context core, so the two paths cannot
+/// drift.
 pub struct SimProgram<'a> {
     trainer: &'a SimTrainer,
     warmup: usize,

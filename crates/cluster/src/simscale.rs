@@ -1,6 +1,6 @@
-//! Simulator-scaling benchmark: how fast (host wall-clock) the execution
-//! cores push the paper-scale costs-only workload through 64–4096 virtual
-//! ranks, behind `dlsr simscale`.
+//! Simulator-scaling benchmark: how fast (host wall-clock) the driven
+//! engine pushes the paper-scale costs-only workload through 64–4096
+//! virtual ranks, behind `dlsr simscale`.
 //!
 //! Two families of numbers live in a [`SimScaleReport`], with different
 //! portability:
@@ -8,16 +8,15 @@
 //! - **virtual** quantities (`virtual_step_s`, `efficiency`) are on the
 //!   simulated clock. They are bitwise machine-independent, so a committed
 //!   report is a CI regression baseline for them ([`gate`]).
-//! - **wall** quantities (`wall_s`, `rank_steps_per_s`,
-//!   `speedup_vs_threaded`) measure the simulator itself on the host that
-//!   ran it. They are never gated against a committed file; `dlsr simscale
-//!   --check` asserts the absolute criteria (512-rank step under a wall
-//!   bound, driven-vs-threaded speedup) on the machine at hand.
+//! - **wall** quantities (`wall_s`, `rank_steps_per_s`) measure the
+//!   simulator itself on the host that ran it. They are never gated
+//!   against a committed file; `dlsr simscale --check` asserts the
+//!   absolute criterion (512-rank step under a wall bound) on the machine
+//!   at hand.
 
 use std::time::Instant;
 
 use dlsr_attr as dlsr;
-use dlsr_mpi::SimCore;
 use dlsr_net::ClusterTopology;
 use serde::{Deserialize, Serialize};
 
@@ -29,14 +28,14 @@ use crate::workload::edsr_measured_workload;
 /// Default node sweep: 64 → 512 ranks on 4-GPU Lassen nodes (Figs 12/13).
 pub const DEFAULT_NODES: [usize; 4] = [16, 32, 64, 128];
 
-/// One measured world size on one execution core.
+/// One measured world size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimScalePoint {
     /// Total ranks (nodes × 4).
     pub world: usize,
     pub nodes: usize,
     /// Mean virtual step time over the measured window, seconds
-    /// (machine-independent; identical across cores by the equivalence
+    /// (machine-independent; identical on both cores by the equivalence
     /// suite).
     pub virtual_step_s: f64,
     /// Weak-scaling efficiency vs. the single-rank virtual step time.
@@ -54,13 +53,8 @@ pub struct SimScaleReport {
     pub batch: usize,
     pub warmup: usize,
     pub steps: usize,
-    /// The default (event-driven) core across the node sweep.
+    /// The driven engine across the node sweep.
     pub event: Vec<SimScalePoint>,
-    /// Thread-per-rank baseline at the smallest sweep world.
-    pub threaded: Option<SimScalePoint>,
-    /// Driven-over-threaded `rank_steps_per_s` ratio at the baseline
-    /// world. Wall-clock: comparable only within one report.
-    pub speedup_vs_threaded: Option<f64>,
     /// Large-world smoke point (4096 ranks), when requested.
     #[serde(default)]
     pub smoke: Option<SimScalePoint>,
@@ -76,8 +70,8 @@ impl SimScaleReport {
     }
 }
 
-/// Run the paper-scale EDSR workload on `nodes` Lassen nodes on the given
-/// core and measure it. `t1_step` is the single-rank virtual step time
+/// Run the paper-scale EDSR workload on `nodes` Lassen nodes and measure
+/// it. `t1_step` is the single-rank virtual step time
 /// (from [`single_rank_step_s`]) the efficiency is normalized against.
 /// The wall measurement is best-of-`repeats` (virtual quantities are
 /// bitwise identical across repeats, so only the wall numbers differ):
@@ -90,71 +84,12 @@ pub fn measure_point(
     warmup: usize,
     steps: usize,
     seed: u64,
-    core: SimCore,
     t1_step: f64,
     repeats: usize,
 ) -> SimScalePoint {
     let (topo, trainer) = setup(nodes, sc, batch, seed);
-    let (wall_s, res) = time_core(&topo, &trainer, sc, core, warmup, steps, repeats);
+    let (wall_s, res) = time_world(&topo, &trainer, sc, warmup, steps, repeats);
     point_from(&topo, nodes, &res, wall_s, warmup, steps, t1_step)
-}
-
-/// Measure the driven-vs-threaded pair at one world size with
-/// *interleaved* repeats: the cores alternate run by run and each wall is
-/// the best of its `pairs` runs. On a busy host, scheduler noise varies on
-/// the hundreds-of-milliseconds scale — interleaving makes both cores
-/// sample the same noise environment, so their ratio (the speedup
-/// criterion `dlsr simscale --check` asserts) is far more stable than two
-/// independently-timed measurements taken at different moments.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_speedup_pair(
-    nodes: usize,
-    sc: Scenario,
-    batch: usize,
-    warmup: usize,
-    steps: usize,
-    seed: u64,
-    t1_step: f64,
-    pairs: usize,
-) -> (SimScalePoint, SimScalePoint) {
-    let (topo, trainer) = setup(nodes, sc, batch, seed);
-    let mut best = [f64::INFINITY; 2];
-    let mut results = [None, None];
-    for _ in 0..pairs.max(1) {
-        for (i, core) in [SimCore::Event, SimCore::Threaded].into_iter().enumerate() {
-            // A driven run at this world size finishes in single-digit
-            // milliseconds — far below the host's scheduling-noise scale —
-            // so its best-of needs many inner repeats to touch the true
-            // floor. They cost ~1 ms each; the threaded run costs hundreds
-            // of milliseconds and gets one per pair.
-            let reps = match core {
-                SimCore::Event => 16,
-                SimCore::Threaded => 1,
-            };
-            let (wall, res) = time_core(&topo, &trainer, sc, core, warmup, steps, reps);
-            best[i] = best[i].min(wall);
-            results[i] = Some(res);
-        }
-    }
-    let ev = point_from(
-        &topo,
-        nodes,
-        results[0].as_ref().expect("event ran"),
-        best[0],
-        warmup,
-        steps,
-        t1_step,
-    );
-    let th = point_from(
-        &topo,
-        nodes,
-        results[1].as_ref().expect("threaded ran"),
-        best[1],
-        warmup,
-        steps,
-        t1_step,
-    );
-    (ev, th)
 }
 
 /// Build the Lassen-shaped world and the artifacts-off trainer every
@@ -174,29 +109,27 @@ fn setup(nodes: usize, sc: Scenario, batch: usize, seed: u64) -> (ClusterTopolog
     };
     // Artifacts off: per-step profile/timeline strings are O(world × steps)
     // allocator traffic that would distort — and at 4096 ranks dominate —
-    // what this benchmark measures. Virtual clocks are unaffected, and
-    // both cores run identically instrumented.
+    // what this benchmark measures. Virtual clocks are unaffected.
     let trainer = SimTrainer::new(w, tensors, batch, sc, &topo, seed)
         .expect("per-GPU batch must fit")
         .with_artifacts(false);
     (topo, trainer)
 }
 
-/// Best-of-`repeats` wall for one core (virtual quantities are bitwise
-/// identical across repeats, so only the wall differs). Wall-domain
+/// Best-of-`repeats` wall (virtual quantities are bitwise identical
+/// across repeats, so only the wall differs). Wall-domain
 /// boundary: simscale's product IS host wall time — it benchmarks the
 /// simulator itself and never feeds rank-visible state.
 #[dlsr::wall]
-fn time_core(
+fn time_world(
     topo: &ClusterTopology,
     trainer: &SimTrainer,
     sc: Scenario,
-    core: SimCore,
     warmup: usize,
     steps: usize,
     repeats: usize,
 ) -> (f64, dlsr_mpi::WorldResult<crate::sim::RankRun>) {
-    let cfg = sc.mpi_config().to_builder().sim_core(core).build();
+    let cfg = sc.mpi_config();
     let mut wall_s = f64::INFINITY;
     let mut res = None;
     for _ in 0..repeats.max(1) {
@@ -296,40 +229,47 @@ pub fn gate(current: &SimScaleReport, baseline: &SimScaleReport, tol_pct: f64) -
 mod tests {
     use super::*;
 
-    fn quick_point(nodes: usize, core: SimCore) -> SimScalePoint {
+    fn quick_point(nodes: usize) -> SimScalePoint {
         let t1 = single_rank_step_s(Scenario::MpiOpt, 4, 1, 3, 7);
-        measure_point(nodes, Scenario::MpiOpt, 4, 1, 3, 7, core, t1, 1)
+        measure_point(nodes, Scenario::MpiOpt, 4, 1, 3, 7, t1, 1)
     }
 
     #[test]
     fn cores_agree_on_virtual_time_bitwise() {
         // The headline simscale quantity must not depend on which core
-        // produced it — same worlds, same virtual clocks, to the bit.
+        // produced it — same worlds, same virtual clocks, to the bit: the
+        // driven engine (what `measure_point` runs) against the event
+        // context core running the same trainer as rank closures.
         for nodes in [1, 2] {
-            let ev = quick_point(nodes, SimCore::Event);
-            let th = quick_point(nodes, SimCore::Threaded);
+            let driven = quick_point(nodes);
+            let (topo, trainer) = setup(nodes, Scenario::MpiOpt, 4, 7);
+            let res = dlsr_mpi::MpiWorld::run(&topo, Scenario::MpiOpt.mpi_config(), |c| {
+                trainer.run(c, 1, 3)
+            });
+            let event = point_from(&topo, nodes, &res, 1.0, 1, 3, 1.0);
             assert_eq!(
-                ev.virtual_step_s.to_bits(),
-                th.virtual_step_s.to_bits(),
+                driven.virtual_step_s.to_bits(),
+                event.virtual_step_s.to_bits(),
                 "cores disagree at {nodes} nodes: {} vs {}",
-                ev.virtual_step_s,
-                th.virtual_step_s
+                driven.virtual_step_s,
+                event.virtual_step_s
             );
-            assert!(ev.efficiency > 0.3 && ev.efficiency <= 1.001, "{ev:?}");
+            assert!(
+                driven.efficiency > 0.3 && driven.efficiency <= 1.001,
+                "{driven:?}"
+            );
         }
     }
 
     #[test]
     fn gate_trips_on_virtual_regressions_only() {
-        let p = quick_point(1, SimCore::Event);
+        let p = quick_point(1);
         let report = SimScaleReport {
             scenario: "MPI-Opt".into(),
             batch: 4,
             warmup: 1,
             steps: 3,
             event: vec![p.clone()],
-            threaded: None,
-            speedup_vs_threaded: None,
             smoke: None,
         };
         assert!(gate(&report, &report, 10.0).is_empty());

@@ -51,14 +51,9 @@ use crate::rules::{
 pub const COLLECTIVE_FNS: &[&str] = &[
     "allgather",
     "allreduce",
-    "allreduce_auto",
-    "allreduce_auto_labeled",
     "allreduce_elems",
-    "allreduce_op",
-    "allreduce_with",
     "barrier",
     "bcast",
-    "bcast_elems",
     "broadcast_parameters",
     "negotiate",
     "negotiate_with_cost",

@@ -2,52 +2,16 @@
 //! the initial model parameters (§III-A step 2).
 
 use crate::comm::Comm;
-use crate::message::Payload;
+use crate::executor::drive_task;
 
-use super::coll_tag;
+use super::tasks::BcastTask;
 
 /// Broadcast `buf` from `root` to every rank (binomial tree, the MPICH
-/// algorithm).
+/// algorithm). Non-root buffers are replaced wholesale by the root's. The
+/// schedule is the binomial state machine in [`super::tasks`], driven in
+/// place.
 pub fn bcast(comm: &mut Comm, buf: &mut Vec<f32>, root: usize, buf_id: u64) {
-    let p = comm.size();
-    if p == 1 {
-        return;
-    }
-    // Element count deliberately not in the signature: non-root buffers
-    // are replaced wholesale, so their pre-call lengths may differ.
-    comm.verify_coll("bcast", "-", "f32", 0, "binomial", None, root);
-    let rank = comm.rank();
-    let seq = comm.next_seq();
-    let relative = (rank + p - root) % p;
-    let t0 = comm.now();
-    let bytes = buf.len() * 4;
-
-    // receive phase: find the bit that connects us to our parent
-    let mut mask = 1usize;
-    while mask < p {
-        if relative & mask != 0 {
-            let src = (rank + p - mask) % p;
-            *buf = comm.recv(src, coll_tag(seq, 0), buf_id).into_f32();
-            break;
-        }
-        mask <<= 1;
-    }
-    // forward phase
-    mask >>= 1;
-    while mask > 0 {
-        if relative + mask < p {
-            let dst = (rank + mask) % p;
-            comm.send(dst, coll_tag(seq, 0), Payload::F32(buf.clone()), buf_id);
-        }
-        mask >>= 1;
-    }
-    dlsr_trace::record_span(
-        || format!("bcast {bytes}B root{root}"),
-        dlsr_trace::cat::MPI,
-        t0,
-        comm.now(),
-    );
-    dlsr_trace::counter_add(dlsr_trace::report::keys::MPI_COLLECTIVES, 1.0);
+    drive_task(comm, &mut BcastTask::new(buf, root, buf_id));
 }
 
 #[cfg(test)]

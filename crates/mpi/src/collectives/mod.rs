@@ -1,8 +1,12 @@
 //! Collective operations.
 //!
-//! All collectives operate on real `f32` buffers: results are bit-exact and
-//! property-tested against sequential reductions. Timing falls out of the
-//! p2p layer's virtual clocks.
+//! Each schedule (ring, pipelined ring, recursive doubling, two-level,
+//! top-k, binomial bcast, dissemination barrier) exists once, as a
+//! resumable state machine in [`tasks`] that is generic over its payload:
+//! real `f32` buffers — bit-exact, property-tested against sequential
+//! reductions — or sizes only ([`synthetic`]) for the scaling harnesses.
+//! Timing falls out of the p2p layer's virtual clocks, identically for
+//! both payloads.
 
 mod allgather;
 mod allreduce;
@@ -15,12 +19,6 @@ pub mod wire;
 
 pub use allgather::allgather;
 pub use allreduce::{Allreduce, AllreduceAlgorithm, CollectiveBuf};
-// Re-exporting deprecated items trips the lint at the `pub use` itself;
-// keep the old names importable for downstream code mid-migration.
-#[allow(deprecated)]
-pub use allreduce::{
-    allreduce, allreduce_auto, allreduce_auto_labeled, allreduce_op, allreduce_with,
-};
 pub use barrier::barrier;
 pub use bcast::bcast;
 pub use rooted::{gather, reduce, scatter};

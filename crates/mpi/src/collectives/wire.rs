@@ -113,8 +113,10 @@ impl WireFormat {
         }
     }
 
-    /// Encode a dense f32 slice into a wire payload. Top-k is not a dense
-    /// format — its sparse schedule builds `Payload::Sparse` directly.
+    /// Encode an f32 slice into a wire payload. Top-k keeps the slice's
+    /// [`topk_indices`] as a sparse (index, value) set. The payload's
+    /// `size_bytes()` is always [`WireFormat::wire_bytes`] of the slice
+    /// length — what lets a size-only schedule time like the real one.
     pub(crate) fn encode(self, src: &[f32]) -> Payload {
         match self {
             WireFormat::F32 => Payload::F32(src.to_vec()),
@@ -126,8 +128,10 @@ impl WireFormat {
                 bits: src.iter().map(|&v| fp16_bits(v)).collect(),
                 fp16: true,
             },
-            WireFormat::TopK { .. } => {
-                unreachable!("top-k rides its own sparse schedule, not dense encode")
+            WireFormat::TopK { k_permille } => {
+                let idx = topk_indices(src, topk_count(src.len(), k_permille));
+                let val = idx.iter().map(|&i| src[i as usize]).collect();
+                Payload::Sparse { idx, val }
             }
         }
     }
@@ -249,10 +253,15 @@ pub fn topk_count(elems: usize, k_permille: u16) -> usize {
 /// (e.g. the fusion layer updating residuals) gets the same answer.
 pub fn topk_indices(buf: &[f32], k: usize) -> Vec<u32> {
     let mut idx: Vec<u32> = (0..buf.len() as u32).collect();
-    idx.sort_by(|&a, &b| {
-        let (va, vb) = (buf[a as usize].abs(), buf[b as usize].abs());
-        vb.total_cmp(&va).then(a.cmp(&b))
-    });
+    // A strict total order, so partitioning at k selects the same set a
+    // full sort would, in linear time.
+    let by_magnitude = |a: &u32, b: &u32| {
+        let (va, vb) = (buf[*a as usize].abs(), buf[*b as usize].abs());
+        vb.total_cmp(&va).then(a.cmp(b))
+    };
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k, by_magnitude);
+    }
     idx.truncate(k);
     idx.sort_unstable();
     idx
@@ -435,6 +444,18 @@ mod tests {
         // Tiny buffers still send at least one coordinate.
         assert_eq!(topk.wire_bytes(3), 8);
         assert_eq!(topk.wire_bytes(0), 0);
+        // The encoded payload is exactly what `wire_bytes` bills: the
+        // size-only schedules time like the real ones because of this.
+        for wf in WireFormat::ALL.into_iter().chain([topk]) {
+            for len in [0usize, 1, 3, 1000, 4097] {
+                let x: Vec<f32> = (0..len).map(|i| (i % 13) as f32 - 6.5).collect();
+                assert_eq!(
+                    wf.encode(&x).size_bytes(),
+                    wf.wire_bytes(len),
+                    "{wf} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

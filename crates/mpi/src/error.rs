@@ -6,7 +6,7 @@
 //! internally by the retry/backoff policy ([`crate::config::RetryPolicy`])
 //! and only surface here once retries are exhausted. The panicking
 //! wrappers (`send`/`recv`/`wait`) keep the PR-4 verifier convention for
-//! terminal errors: one rank panicking tears down its channels, every
+//! terminal errors: one rank panicking tears down the event fabric, every
 //! peer's blocking call fails, and the whole world aborts together
 //! through `std::thread::scope` join.
 
@@ -40,7 +40,7 @@ pub enum CommError {
         /// The last attempt's failure.
         last: TransportError,
     },
-    /// A peer's channel endpoint is gone — some rank already aborted.
+    /// The event fabric was torn down — some rank already aborted.
     /// Terminal.
     WorldTornDown {
         /// The rank observing the teardown.

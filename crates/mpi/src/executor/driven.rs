@@ -1,18 +1,18 @@
 //! The driven core: a zero-thread discrete-event engine over resumable
 //! rank programs.
 //!
-//! Where the context cores give every rank an OS thread to block on, this
-//! engine runs N ranks on *one* thread: a rank is a [`RankProgram`] that
-//! yields [`EventTask`]s, a task that cannot make progress returns
-//! [`Poll::Pending`] naming the exact `(src, tag)` it needs, and the
-//! engine parks the rank — a `Vec` slot, not a stack — until a routed
-//! message matches. Runnable ranks are stepped in a deterministic
-//! engine-chosen order; because message stamps are fixed at send time,
-//! the order cannot change any simulated quantity (see the scheduling
-//! comment in `run`). No locks, no syscalls, no context switches: this
-//! is the core that takes worlds to 512–4096 ranks.
+//! Where the event context core gives every rank an OS thread to block
+//! on, this engine runs N ranks on *one* thread: a rank is a
+//! [`RankProgram`] that yields [`EventTask`]s, a task that cannot make
+//! progress returns [`Poll::Pending`] naming the exact `(src, tag)` it
+//! needs, and the engine parks the rank — a `Vec` slot, not a stack —
+//! until a routed message matches. Runnable ranks are stepped in a
+//! deterministic engine-chosen order; because message stamps are fixed at
+//! send time, the order cannot change any simulated quantity (see the
+//! scheduling comment in `run`). No locks, no syscalls, no context
+//! switches: this is the core that takes worlds to 512–4096 ranks.
 //!
-//! The same [`EventTask`]s run unchanged on the context cores via
+//! The same [`EventTask`]s run unchanged on the event context core via
 //! [`drive_task`] (poll, and on `Pending` block the OS thread until the
 //! match arrives), so every collective has exactly one implementation —
 //! its state machine — and core equivalence is structural rather than

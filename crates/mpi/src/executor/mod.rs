@@ -6,21 +6,24 @@
 //! crates, so the thread-per-rank model this module replaces cannot creep
 //! back in through a side door.
 //!
-//! Three cores share one message fabric contract (exact `(src, tag)`
+//! Two cores share one message fabric contract (exact `(src, tag)`
 //! matching, per-sender FIFO, LogGP arrival stamps — see `docs/SIMCORE.md`
-//! for the determinism argument):
+//! for the determinism argument) and run the same collective state
+//! machines:
 //!
-//! - `context::run_event` — the default. Per-rank closures run on OS
-//!   threads used purely as *coroutine contexts*: at most `workers` run
-//!   tokens exist, a blocked recv parks the rank and releases its token,
-//!   and the `fabric::EventFabric` grants freed tokens to eligible ranks
-//!   in deterministic `(virtual_time, rank)` order.
+//! - `context::run_event` — runs every `MpiWorld::run` closure. Per-rank
+//!   closures run on OS threads used purely as *coroutine contexts*: at
+//!   most `workers` run tokens exist, a blocked recv parks the rank and
+//!   releases its token, and the `fabric::EventFabric` grants freed tokens
+//!   to eligible ranks in deterministic `(virtual_time, rank)` order.
 //! - `driven::run` — zero threads. Rank programs are resumable state
 //!   machines ([`RankProgram`] yielding [`EventTask`]s) stepped by a
 //!   single-threaded virtual-time event loop; this is the core that takes
 //!   worlds to 512–4096 ranks.
-//! - `context::run_threaded` — the legacy thread-per-rank core, kept as
-//!   the bitwise-equivalence baseline until retirement.
+//!
+//! The two are each other's bitwise-equivalence baseline: the same
+//! program driven on either, at any worker count, yields identical clocks
+//! and results.
 
 pub(crate) mod budget;
 pub(crate) mod context;

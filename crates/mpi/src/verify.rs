@@ -97,7 +97,8 @@ pub struct CollSig {
     pub kind: &'static str,
     /// Reduction operator ("sum"/"max"/"min") or "-".
     pub op: &'static str,
-    /// Payload dtype: "f32" for real buffers, "synth" for costs-only.
+    /// Payload dtype: the wire format ("f32", "bf16", "fp16", "topk:<k>")
+    /// for both the real and the size-only instance of a collective.
     pub dtype: &'static str,
     /// Element count (or the checkpoint marker for "checkpoint" records).
     pub elems: usize,

@@ -1,12 +1,12 @@
 //! Job launcher: runs a closure (or a resumable [`RankProgram`]) on every
 //! rank of a simulated world and collects results — the simulated
 //! `mpirun`. The actual execution cores live in [`crate::executor`]; this
-//! module only dispatches on [`SimCore`].
+//! module only picks one per entry point.
 
 use dlsr_net::ClusterTopology;
 
 use crate::comm::Comm;
-use crate::config::{MpiConfig, SimCore};
+use crate::config::MpiConfig;
 use crate::executor::{context, driven, RankProgram};
 
 /// The simulated MPI world.
@@ -33,32 +33,10 @@ impl MpiWorld {
     ///
     /// `f` must be deterministic in rank order of collective calls (normal
     /// SPMD discipline); payloads flow through real message queues so
-    /// results are exact. Which core executes the ranks is chosen by
-    /// [`MpiConfig::sim_core`] — results are bitwise-identical either way.
+    /// results are exact. Ranks run on the event context core with
+    /// `cfg.sim_workers` run tokens — results are bitwise-identical at
+    /// any worker count.
     pub fn run<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Send + Sync,
-    {
-        match cfg.sim_core {
-            SimCore::Event => context::run_event(topo, cfg, f),
-            SimCore::Threaded => context::run_threaded(topo, cfg, f),
-        }
-    }
-
-    /// [`MpiWorld::run`] forced onto the legacy thread-per-rank core
-    /// (ignores `cfg.sim_core`) — the equivalence baseline.
-    pub fn run_threaded<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Send + Sync,
-    {
-        context::run_threaded(topo, cfg, f)
-    }
-
-    /// [`MpiWorld::run`] forced onto the event context core (ignores
-    /// `cfg.sim_core`).
-    pub fn run_event<R, F>(topo: &ClusterTopology, cfg: MpiConfig, f: F) -> WorldResult<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
@@ -72,9 +50,9 @@ impl MpiWorld {
     /// engine-chosen order. Same clock/payload semantics as
     /// [`MpiWorld::run`], minus threads — this is the entry point for
     /// 512–4096-rank worlds. The cross-rank `verify` checker is not
-    /// attached here (its rendezvous assumes concurrent ranks); use a
-    /// context core to verify a program, which the equivalence suite makes
-    /// meaningful by pinning this engine bitwise to those cores.
+    /// attached here (its rendezvous assumes concurrent ranks); use
+    /// [`MpiWorld::run`] to verify a program, which the equivalence suite
+    /// makes meaningful by pinning this engine bitwise to the event core.
     pub fn run_driven<P, F>(topo: &ClusterTopology, cfg: MpiConfig, make: F) -> WorldResult<P::Out>
     where
         P: RankProgram,

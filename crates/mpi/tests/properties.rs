@@ -3,9 +3,88 @@
 
 use proptest::prelude::*;
 
-use dlsr_mpi::collectives::{allgather, barrier, bcast, Allreduce, AllreduceAlgorithm, ReduceOp};
+use dlsr_mpi::collectives::{
+    allgather, barrier, bcast, Allreduce, AllreduceAlgorithm, ReduceOp, WireFormat,
+};
 use dlsr_mpi::{MpiConfig, MpiWorld, Payload};
 use dlsr_net::ClusterTopology;
+
+/// Hierarchical `mpi_opt` that pipelines from 1 MiB in 1 MiB sub-chunks,
+/// so buffers of a few MB already take the pipelined leader ring in
+/// several sub-chunks.
+fn hier_1mib() -> MpiConfig {
+    MpiConfig::mpi_opt()
+        .to_builder()
+        .hierarchical(true)
+        .pipeline_chunk(1 << 20)
+        .pipeline_threshold(1 << 20)
+        .build()
+}
+
+/// Per-rank end clocks (as bits) of one real allreduce and of its
+/// size-only instance under the same world and config.
+fn real_and_size_only_clock_bits(
+    t: &ClusterTopology,
+    cfg: MpiConfig,
+    elems: usize,
+    algo: AllreduceAlgorithm,
+    wf: WireFormat,
+) -> (Vec<u64>, Vec<u64>) {
+    let real = MpiWorld::run(t, cfg.clone(), move |c| {
+        let mut buf: Vec<f32> = (0..elems).map(|i| (i % 97) as f32 * 0.3 - 11.0).collect();
+        Allreduce::new(&mut buf)
+            .buf_id(1)
+            .algo(algo)
+            .wire(wf)
+            .run(c);
+        c.now()
+    });
+    let synth = MpiWorld::run(t, cfg, move |c| {
+        dlsr_mpi::collectives::synthetic::allreduce_elems_wire(c, elems, 1, algo, wf);
+        c.now()
+    });
+    let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    (bits(&real.clocks), bits(&synth.clocks))
+}
+
+/// Size-only collectives cost exactly what the real ones cost, to the
+/// bit, for every algorithm × wire format × {`default_mpi`, `mpi_opt`,
+/// hierarchical 1 MiB pipelining} on two Lassen nodes, at 1.2 MB (above
+/// the hierarchical config's pipelining threshold). The 20 MB cells
+/// sit above the transport's 16 MB IPC threshold while every pipelined
+/// sub-chunk sits below it, so they check that sub-chunks take the path
+/// of the parent buffer (NVLink under `mpi_opt`, host staging under
+/// `default_mpi`) on both instances.
+#[test]
+fn synthetic_equals_real_time_matrix() {
+    let t = ClusterTopology::lassen(2);
+    let configs = [
+        ("default_mpi", MpiConfig::default_mpi()),
+        ("mpi_opt", MpiConfig::mpi_opt()),
+        ("hier_1mib", hier_1mib()),
+    ];
+    let mut cells = Vec::new();
+    for algo in AllreduceAlgorithm::ALL {
+        for wf in WireFormat::ALL {
+            for (name, cfg) in &configs {
+                cells.push((algo, wf, *name, cfg.clone(), 300_000));
+            }
+        }
+    }
+    for algo in [
+        AllreduceAlgorithm::PipelinedRing,
+        AllreduceAlgorithm::TwoLevel,
+    ] {
+        for (name, cfg) in &configs {
+            let chunked = cfg.clone().to_builder().pipeline_chunk(1 << 20).build();
+            cells.push((algo, WireFormat::F32, *name, chunked, 5_000_000));
+        }
+    }
+    for (algo, wf, name, cfg, elems) in cells {
+        let (real, synth) = real_and_size_only_clock_bits(&t, cfg, elems, algo, wf);
+        assert_eq!(real, synth, "{algo:?} {wf} {name} elems={elems}");
+    }
+}
 
 fn topo(nodes: usize, gpn: usize) -> ClusterTopology {
     ClusterTopology {
@@ -124,31 +203,22 @@ proptest! {
         }
     }
 
-    /// Synthetic collectives cost exactly what the real ones cost.
+    /// Size-only collectives cost exactly what the real ones cost, to the
+    /// bit, over random buffer sizes and world shapes (the fixed
+    /// algorithm × wire × config matrix is `synthetic_equals_real_time_matrix`).
     #[test]
     fn synthetic_equals_real_time(
         nodes in 1usize..3,
-        elems in 1usize..200_000,
-        algo_idx in 0usize..3,
+        elems in 1usize..1_500_000,
+        algo_idx in 0usize..4,
+        wire_idx in 0usize..4,
+        hier in proptest::bool::ANY,
     ) {
-        let algo = [
-            AllreduceAlgorithm::Ring,
-            AllreduceAlgorithm::RecursiveDoubling,
-            AllreduceAlgorithm::TwoLevel,
-        ][algo_idx];
-        let t = topo(nodes, 4);
-        let real = MpiWorld::run(&t, MpiConfig::mpi_opt(), move |c| {
-            let mut buf = vec![1.0f32; elems];
-            Allreduce::new(&mut buf).buf_id(1).algo(algo).run(c);
-            c.now()
-        })
-        .makespan();
-        let synth = MpiWorld::run(&t, MpiConfig::mpi_opt(), move |c| {
-            dlsr_mpi::collectives::synthetic::allreduce_elems(c, elems, 1, algo);
-            c.now()
-        })
-        .makespan();
-        prop_assert!(((real - synth) / real).abs() < 1e-9, "{real} vs {synth}");
+        let algo = AllreduceAlgorithm::ALL[algo_idx];
+        let wf = WireFormat::ALL[wire_idx];
+        let cfg = if hier { hier_1mib() } else { MpiConfig::mpi_opt() };
+        let (real, synth) = real_and_size_only_clock_bits(&topo(nodes, 4), cfg, elems, algo, wf);
+        prop_assert_eq!(real, synth, "{:?} {} hier={} elems={}", algo, wf, hier, elems);
     }
 
     /// Max/Min allreduce compute the true elementwise extremum across
