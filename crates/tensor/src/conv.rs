@@ -13,16 +13,21 @@
 //!    packed into GEMM panel layout **once per call**.
 //! 2. The batch dimension is the parallel axis: each image's GEMMs run on
 //!    one rayon worker, writing to that image's disjoint slice of the
-//!    output. All per-image temporaries come from the [`crate::scratch`]
-//!    pool, so the steady-state loop does not allocate.
+//!    output. Every per-image temporary — the packed `grad_out`, the column
+//!    matrix, the GEMM workspace — is taken from the [`crate::scratch`] pool
+//!    on the dispatching thread, in a fixed order, one region per image,
+//!    *before* the parallel section; workers never touch the pool. So the
+//!    steady-state loop does not allocate, and which buffer serves which
+//!    image never depends on thread timing.
 //! 3. The forward and weight-gradient GEMMs read the image through a
 //!    *virtual im2col view* ([`matmul::BSrc::Im2col`] /
-//!    [`matmul::BSrc::Im2colT`]): the column matrix is never materialized —
-//!    the packing routines gather patch elements straight from the image,
-//!    which removes a `C_in·K²·H_out·W_out` scratch buffer and a full
-//!    write+read pass per image per direction. Only the input gradient
-//!    still materializes a column matrix, because there it is the GEMM
-//!    *output* that `col2im` scatters back onto the image.
+//!    [`matmul::BSrc::Im2colT`]): the column matrix is never materialized.
+//!    The blocked engine's packer gathers patch elements straight from the
+//!    image; the skinny-`C_out` streaming driver (the RGB output conv)
+//!    reads a zero-padded copy of the image instead. Only the input
+//!    gradient still materializes a column matrix, because there it is the
+//!    GEMM *output*: `col2im` adds it back onto the image one row run per
+//!    kernel tap and output row.
 //! 4. Reductions that cross the parallel axis (weight/bias gradients) are
 //!    accumulated per image into disjoint scratch, then summed sequentially
 //!    in ascending image order — results are bitwise independent of the
@@ -41,9 +46,9 @@
 use dlsr_attr as dlsr;
 use rayon::prelude::*;
 
-use crate::matmul::{self, BSrc, Epilogue, Im2colView};
+use crate::matmul::{self, BSrc, Elem, Epilogue, Im2colView};
 use crate::scratch;
-use crate::tune::{self, Blueprint};
+use crate::tune;
 use crate::{Result, Tensor, TensorError};
 
 /// Activation fused into the forward GEMM epilogue.
@@ -93,55 +98,13 @@ fn weight_dims(weight: &Tensor) -> Result<(usize, usize, usize, usize)> {
     weight.shape().as_nchw()
 }
 
-/// A left operand packed once and reused across the batch — f32 panels, or
-/// bf16 panels when the reduced-precision storage path is active. One enum
-/// so every GEMM call site stays precision-agnostic.
-enum PackedA {
-    F32(scratch::ScratchBuf),
-    #[cfg(feature = "bf16")]
-    Bf16(scratch::ScratchBufU16),
-}
-
-impl PackedA {
-    /// Pack `a[m×k]` (or `Aᵀ` stored `[k×m]` when `trans`) under `bp`,
-    /// choosing the element type from the runtime bf16 flag.
-    fn pack(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool) -> PackedA {
-        #[cfg(feature = "bf16")]
-        if tune::bf16_enabled() {
-            let mut buf = scratch::take_u16(matmul::packed_a_len(bp, m, k));
-            matmul::pack_a_bf16(bp, a, m, k, trans, &mut buf);
-            return PackedA::Bf16(buf);
-        }
-        let mut buf = scratch::take(matmul::packed_a_len(bp, m, k));
-        if trans {
-            matmul::pack_a_transposed(bp, a, m, k, &mut buf);
-        } else {
-            matmul::pack_a(bp, a, m, k, &mut buf);
-        }
-        PackedA::F32(buf)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        bp: &Blueprint,
-        bsrc: BSrc<'_>,
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        epi: Epilogue<'_>,
-        force_seq: bool,
-    ) {
-        match self {
-            PackedA::F32(buf) => matmul::gemm(bp, buf, bsrc, c, m, k, n, epi, force_seq),
-            #[cfg(feature = "bf16")]
-            PackedA::Bf16(buf) => matmul::gemm_bf16(bp, buf, bsrc, c, m, k, n, epi, force_seq),
-        }
-    }
-}
-
 /// Accumulate a column matrix back into an image (the adjoint of im2col).
+///
+/// Each kernel tap's valid output-x range is computed once, so every
+/// (tap, output row) pair adds one whole run of the column matrix onto an
+/// image row — no per-element bounds test. The loops keep the tap order
+/// `(ky, kx)` outermost, so each image element receives its contributions
+/// in the same order as an element-by-element scatter.
 #[dlsr::hot]
 fn col2im(
     col: &[f32],
@@ -153,22 +116,42 @@ fn col2im(
     let h_out = p.out_extent(h, kh);
     let w_out = p.out_extent(w, kw);
     let hw_out = h_out * w_out;
-    for c in 0..c_in {
-        let plane_base = c * h * w;
+    let s = p.stride;
+    debug_assert_eq!(
+        (img.len(), col.len()),
+        (c_in * h * w, c_in * kh * kw * hw_out)
+    );
+    // Output positions `o` with `0 <= o·s + t - pad < extent`.
+    let valid = |t: usize, extent: usize, out: usize| {
+        let lo = p.padding.saturating_sub(t).div_ceil(s);
+        let hi = (extent + p.padding).saturating_sub(t).div_ceil(s).min(out);
+        (lo, hi.max(lo))
+    };
+    for (plane, ccol) in img
+        .chunks_exact_mut(h * w)
+        .zip(col.chunks_exact(kh * kw * hw_out))
+    {
         for ky in 0..kh {
+            let (oy_lo, oy_hi) = valid(ky, h, h_out);
             for kx in 0..kw {
-                let row = ((c * kh + ky) * kw + kx) * hw_out;
-                for oy in 0..h_out {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    let src = &col[row + oy * w_out..row + (oy + 1) * w_out];
-                    for (ox, &s) in src.iter().enumerate() {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if ix >= 0 && ix < w as isize {
-                            img[plane_base + iy * w + ix as usize] += s;
+                let (ox_lo, ox_hi) = valid(kx, w, w_out);
+                if ox_lo == ox_hi {
+                    continue;
+                }
+                let run = ox_hi - ox_lo;
+                let tap = &ccol[(ky * kw + kx) * hw_out..][..hw_out];
+                let ix0 = ox_lo * s + kx - p.padding;
+                for oy in oy_lo..oy_hi {
+                    let iy = oy * s + ky - p.padding;
+                    let src = &tap[oy * w_out + ox_lo..][..run];
+                    let dst = &mut plane[iy * w + ix0..];
+                    if s == 1 {
+                        for (d, &v) in dst[..run].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
+                            *d += v;
                         }
                     }
                 }
@@ -233,8 +216,6 @@ pub fn conv2d_fused_into(
     }
     let h_out = p.out_extent(h, kh);
     let w_out = p.out_extent(w, kw);
-    let hw_out = h_out * w_out;
-    let k = c_in * kh * kw;
     if out.shape().dims() != [n, c_out, h_out, w_out] {
         return Err(TensorError::ShapeMismatch {
             expected: vec![n, c_out, h_out, w_out],
@@ -242,32 +223,96 @@ pub fn conv2d_fused_into(
             context: "conv2d_fused_into (output shape)",
         });
     }
-
-    // Resolve the blueprint once per layer call; every image shares it.
-    let bp = tune::select(c_out, k, hw_out);
-    let variant = bp.kernel.executes_as().as_str();
-    // Pack the weight matrix once; every image multiplies against it.
-    let wpack = PackedA::pack(&bp, weight.data(), c_out, k, false);
     let epi = match (bias, act) {
         (None, Act::Identity) => Epilogue::None,
         (None, Act::Relu) => Epilogue::Relu,
         (Some(b), Act::Identity) => Epilogue::Bias(b),
         (Some(b), Act::Relu) => Epilogue::BiasRelu(b),
     };
+    let dims = ConvDims {
+        n,
+        c_in,
+        h,
+        w,
+        c_out,
+        kh,
+        kw,
+        p,
+    };
+    #[cfg(feature = "bf16")]
+    if tune::bf16_enabled() {
+        forward::<u16>(input.data(), weight.data(), epi, dims, out.data_mut());
+        return Ok(());
+    }
+    forward::<f32>(input.data(), weight.data(), epi, dims, out.data_mut());
+    Ok(())
+}
 
-    let chw_in = c_in * h * w;
-    let batch_par = n > 1 && rayon::current_num_threads() > 1;
+/// Shape of one conv call: batch, input planes, output channels, kernel
+/// window and stride/padding.
+#[derive(Debug, Clone, Copy)]
+struct ConvDims {
+    n: usize,
+    c_in: usize,
+    h: usize,
+    w: usize,
+    c_out: usize,
+    kh: usize,
+    kw: usize,
+    p: Conv2dParams,
+}
+
+impl ConvDims {
+    fn view<'a>(&self, img: &'a [f32]) -> Im2colView<'a> {
+        Im2colView::new(
+            img,
+            (self.c_in, self.h, self.w),
+            (self.kh, self.kw),
+            self.p.stride,
+            self.p.padding,
+        )
+    }
+}
+
+/// The forward GEMMs over panels of element type `E`.
+fn forward<E: Elem>(
+    input: &[f32],
+    weight: &[f32],
+    epi: Epilogue<'_>,
+    d: ConvDims,
+    out: &mut [f32],
+) {
+    let hw_out = d.p.out_extent(d.h, d.kh) * d.p.out_extent(d.w, d.kw);
+    let k = d.c_in * d.kh * d.kw;
+    let chw_in = d.c_in * d.h * d.w;
+    let c_out = d.c_out;
+    let batch_par = d.n > 1 && rayon::current_num_threads() > 1;
+    if d.n == 0 {
+        return;
+    }
+
+    // Resolve the blueprint once per layer call; every image shares it.
+    let bp = tune::select(c_out, k, hw_out);
+    let probe = BSrc::Im2col(d.view(&input[..chw_in]));
+    let variant = matmul::variant::<E>(&bp, &probe, batch_par).as_str();
+    // Pack the weight matrix once; every image multiplies against it.
+    let mut wpack = E::take_scratch(matmul::packed_a_len(&bp, c_out, k));
+    matmul::pack_a_impl::<E>(&bp, weight, c_out, k, false, &mut wpack);
+    // One GEMM workspace per image, taken here before any worker runs.
+    let ws_len = matmul::workspace_len::<E>(&bp, &probe, c_out, k, hw_out, batch_par).max(1);
+    let mut ws_all = E::take_scratch(d.n * ws_len);
+
     // Spans from rayon workers are tagged with the dispatching rank so the
     // trace attributes kernel time to the rank that owns this layer call.
     let rank = dlsr_trace::thread_rank();
-    let image = |i: usize, dst: &mut [f32]| {
-        let img = &input.data()[i * chw_in..(i + 1) * chw_in];
-        // Implicit GEMM: the im2col matrix is a view the packer reads
-        // through, never a buffer.
-        let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
+    let image = |i: usize, (dst, ws): (&mut [f32], &mut [E])| {
+        // Implicit GEMM: the im2col matrix is a view the driver reads
+        // through, never a column buffer.
+        let view = d.view(&input[i * chw_in..(i + 1) * chw_in]);
         let t0 = dlsr_trace::now_wall_s();
-        wpack.gemm(
+        matmul::gemm_generic::<E>(
             &bp,
+            &wpack,
             BSrc::Im2col(view),
             dst,
             c_out,
@@ -275,6 +320,7 @@ pub fn conv2d_fused_into(
             hw_out,
             epi,
             batch_par,
+            ws,
         );
         dlsr_trace::record_wall_span(
             || format!("conv gemm {c_out}x{k}x{hw_out} {variant} kc{}", bp.kc),
@@ -286,16 +332,19 @@ pub fn conv2d_fused_into(
     };
     let out_chunk = c_out * hw_out;
     if batch_par {
-        out.data_mut()
-            .par_chunks_mut(out_chunk)
+        out.par_chunks_mut(out_chunk)
+            .zip(ws_all.par_chunks_mut(ws_len))
             .enumerate()
-            .for_each(|(i, dst)| image(i, dst));
+            .for_each(|(i, bufs)| image(i, bufs));
     } else {
-        for (i, dst) in out.data_mut().chunks_mut(out_chunk).enumerate() {
-            image(i, dst);
+        for (i, bufs) in out
+            .chunks_mut(out_chunk)
+            .zip(ws_all.chunks_mut(ws_len))
+            .enumerate()
+        {
+            image(i, bufs);
         }
     }
-    Ok(())
 }
 
 /// Gradients of [`conv2d`] with respect to input, weight and bias.
@@ -322,34 +371,89 @@ pub fn conv2d_backward(
             context: "conv2d_backward (grad_out shape)",
         });
     }
-    let hw_out = h_out * w_out;
-    let k = c_in * kh * kw;
-    let chw_in = c_in * h * w;
-
+    let dims = ConvDims {
+        n,
+        c_in,
+        h,
+        w,
+        c_out,
+        kh,
+        kw,
+        p,
+    };
     let mut grad_input = Tensor::zeros([n, c_in, h, w]);
+    let mut grad_weight = Tensor::zeros(weight.shape().clone());
+    let mut grad_bias = vec![0.0f32; c_out];
+    let grads = (
+        grad_input.data_mut(),
+        grad_weight.data_mut(),
+        &mut grad_bias[..],
+    );
+    #[cfg(feature = "bf16")]
+    if tune::bf16_enabled() {
+        backward::<u16>(input.data(), weight.data(), grad_out.data(), dims, grads);
+        return Ok((grad_input, grad_weight, grad_bias));
+    }
+    backward::<f32>(input.data(), weight.data(), grad_out.data(), dims, grads);
+    Ok((grad_input, grad_weight, grad_bias))
+}
+
+/// The backward GEMMs over panels of element type `E`, writing
+/// `(grad_input, grad_weight, grad_bias)`; the last two are reduced here
+/// from per-image contributions.
+fn backward<E: Elem>(
+    input: &[f32],
+    weight: &[f32],
+    grad_out: &[f32],
+    d: ConvDims,
+    (grad_input, grad_weight, grad_bias): (&mut [f32], &mut [f32], &mut [f32]),
+) {
+    let hw_out = d.p.out_extent(d.h, d.kh) * d.p.out_extent(d.w, d.kw);
+    let k = d.c_in * d.kh * d.kw;
+    let chw_in = d.c_in * d.h * d.w;
+    let c_out = d.c_out;
+    let batch_par = d.n > 1 && rayon::current_num_threads() > 1;
+    if d.n == 0 {
+        return;
+    }
 
     // Weight gradient per image: grad_out (C_out×HW) · colᵀ (HW×K),
     // with colᵀ read through the transposed virtual im2col view.
     let bp_w = tune::select(c_out, hw_out, k);
     // Input gradient per image: Wᵀ (K×C_out) · grad_out (C_out×HW) — the
-    // output of this GEMM is the column matrix col2im scatters back.
+    // output of this GEMM is the column matrix col2im adds back onto the image.
     let bp_i = tune::select(k, c_out, hw_out);
-    let variant = bp_w.kernel.executes_as().as_str();
+    let probe_w = BSrc::Im2colT(d.view(&input[..chw_in]));
+    let probe_i = BSrc::Rows(&grad_out[..c_out * hw_out]);
+    let variant_w = matmul::variant::<E>(&bp_w, &probe_w, batch_par).as_str();
+    let variant_i = matmul::variant::<E>(&bp_i, &probe_i, batch_par).as_str();
 
     // Pack Wᵀ (K×C_out) once for the input-gradient GEMMs.
-    let wt_pack = PackedA::pack(&bp_i, weight.data(), k, c_out, true);
+    let mut wt_pack = E::take_scratch(matmul::packed_a_len(&bp_i, k, c_out));
+    matmul::pack_a_impl::<E>(&bp_i, weight, k, c_out, true, &mut wt_pack);
 
-    // Disjoint per-image accumulators for the cross-batch reductions.
-    let mut gw_all = scratch::take(n * c_out * k);
-    let mut gb_all = scratch::take(n * c_out);
+    // Per-image scratch, all taken here on the dispatching thread in a
+    // fixed order before any worker runs: f32 `[grad_weight | grad_bias |
+    // column matrix]` and E `[packed grad_out | GEMM workspace]`, the
+    // workspace shared by the image's two GEMMs.
+    let (gw_len, col_len) = (c_out * k, k * hw_out);
+    let f_len = gw_len + c_out + col_len;
+    let go_len = matmul::packed_a_len(&bp_w, c_out, hw_out);
+    let ws_len = matmul::workspace_len::<E>(&bp_w, &probe_w, c_out, hw_out, k, batch_par).max(
+        matmul::workspace_len::<E>(&bp_i, &probe_i, k, c_out, hw_out, batch_par),
+    );
+    let e_len = go_len + ws_len;
+    let mut f_all = scratch::take(d.n * f_len);
+    let mut e_all = E::take_scratch(d.n * e_len);
 
-    let batch_par = n > 1 && rayon::current_num_threads() > 1;
     let rank = dlsr_trace::thread_rank();
-    let image = |i: usize, gi: &mut [f32], gw_i: &mut [f32], gb_i: &mut [f32]| {
+    let image = |i: usize, (gi, (fbuf, ebuf)): (&mut [f32], (&mut [f32], &mut [E]))| {
         let t0 = dlsr_trace::now_wall_s();
-        let img = &input.data()[i * chw_in..(i + 1) * chw_in];
-        let go = &grad_out.data()[i * c_out * hw_out..(i + 1) * c_out * hw_out];
-        let view = Im2colView::new(img, (c_in, h, w), (kh, kw), p.stride, p.padding);
+        let view = d.view(&input[i * chw_in..(i + 1) * chw_in]);
+        let go = &grad_out[i * c_out * hw_out..(i + 1) * c_out * hw_out];
+        let (gw_i, rest) = fbuf.split_at_mut(gw_len);
+        let (gb_i, col) = rest.split_at_mut(c_out);
+        let (go_pack, ws) = ebuf.split_at_mut(go_len);
 
         // bias gradient: per-channel sums of grad_out
         for (co, chunk) in go.chunks_exact(hw_out).enumerate() {
@@ -357,9 +461,10 @@ pub fn conv2d_backward(
         }
 
         // weight gradient: implicit GEMM against the transposed view
-        let go_pack = PackedA::pack(&bp_w, go, c_out, hw_out, false);
-        go_pack.gemm(
+        matmul::pack_a_impl::<E>(&bp_w, go, c_out, hw_out, false, go_pack);
+        matmul::gemm_generic::<E>(
             &bp_w,
+            go_pack,
             BSrc::Im2colT(view),
             gw_i,
             c_out,
@@ -367,32 +472,39 @@ pub fn conv2d_backward(
             k,
             Epilogue::None,
             batch_par,
+            ws,
         );
 
         // input gradient: Wᵀ·grad_out produces the column matrix...
-        let mut col = scratch::take(k * hw_out);
-        wt_pack.gemm(
+        matmul::gemm_generic::<E>(
             &bp_i,
+            &wt_pack,
             BSrc::Rows(go),
-            &mut col,
+            col,
             k,
             c_out,
             hw_out,
             Epilogue::None,
             batch_par,
+            ws,
         );
         let t1 = dlsr_trace::now_wall_s();
         dlsr_trace::record_wall_span(
-            || format!("conv bwd gemm {c_out}x{hw_out}x{k} {variant} kc{}", bp_w.kc),
+            || {
+                format!(
+                    "conv bwd gemm {c_out}x{hw_out}x{k} {variant_w}+{variant_i} kc{}",
+                    bp_w.kc
+                )
+            },
             dlsr_trace::cat::GEMM,
             rank,
             t0,
             t1,
         );
-        // ...which col2im scatters back onto the image.
-        col2im(&col, (c_in, h, w), (kh, kw), p, gi);
+        // ...which col2im adds back onto the image.
+        col2im(col, (d.c_in, d.h, d.w), (d.kh, d.kw), d.p, gi);
         dlsr_trace::record_wall_span(
-            || format!("col2im {c_in}x{h}x{w} k{kh}x{kw}"),
+            || format!("col2im {}x{}x{} k{}x{}", d.c_in, d.h, d.w, d.kh, d.kw),
             dlsr_trace::cat::IM2COL,
             rank,
             t1,
@@ -400,42 +512,32 @@ pub fn conv2d_backward(
         );
     };
 
-    let gw_len = c_out * k;
     if batch_par {
         grad_input
-            .data_mut()
             .par_chunks_mut(chw_in)
-            .zip(gw_all.par_chunks_mut(gw_len))
-            .zip(gb_all.par_chunks_mut(c_out))
+            .zip(f_all.par_chunks_mut(f_len).zip(e_all.par_chunks_mut(e_len)))
             .enumerate()
-            .for_each(|(i, ((gi, gw_i), gb_i))| image(i, gi, gw_i, gb_i));
+            .for_each(|(i, bufs)| image(i, bufs));
     } else {
-        for (i, ((gi, gw_i), gb_i)) in grad_input
-            .data_mut()
+        for (i, bufs) in grad_input
             .chunks_mut(chw_in)
-            .zip(gw_all.chunks_mut(gw_len))
-            .zip(gb_all.chunks_mut(c_out))
+            .zip(f_all.chunks_mut(f_len).zip(e_all.chunks_mut(e_len)))
             .enumerate()
         {
-            image(i, gi, gw_i, gb_i);
+            image(i, bufs);
         }
     }
 
     // Fixed-order reduction across the batch: ascending image index,
     // regardless of which worker produced each contribution.
-    let mut grad_weight = Tensor::zeros(weight.shape().clone());
-    for gw_i in gw_all.chunks_exact(gw_len) {
-        for (a, &b) in grad_weight.data_mut().iter_mut().zip(gw_i.iter()) {
+    for fbuf in f_all.chunks_exact(f_len) {
+        for (a, &b) in grad_weight.iter_mut().zip(&fbuf[..gw_len]) {
+            *a += b;
+        }
+        for (a, &b) in grad_bias.iter_mut().zip(&fbuf[gw_len..gw_len + c_out]) {
             *a += b;
         }
     }
-    let mut grad_bias = vec![0.0f32; c_out];
-    for gb_i in gb_all.chunks_exact(c_out) {
-        for (a, &b) in grad_bias.iter_mut().zip(gb_i.iter()) {
-            *a += b;
-        }
-    }
-    Ok((grad_input, grad_weight, grad_bias))
 }
 
 /// Direct (quadruple-loop) convolution used as the test oracle.
@@ -696,6 +798,19 @@ mod tests {
                 assert!((a - b).abs() < 1e-3);
             }
         }
+    }
+
+    /// An empty batch convolves to an empty output and zero gradients.
+    #[test]
+    fn empty_batch_is_empty() {
+        let p = Conv2dParams::same(3);
+        let x = Tensor::zeros([0, 2, 5, 5]);
+        let w = rand_tensor(&[3, 2, 3, 3], 9);
+        let y = conv2d(&x, &w, None, p).unwrap();
+        assert_eq!(y.shape().dims(), &[0, 3, 5, 5]);
+        let (gi, gw, gb) = conv2d_backward(&x, &w, &y, p).unwrap();
+        assert_eq!(gi.shape().dims(), &[0, 2, 5, 5]);
+        assert!(gw.data().iter().chain(&gb).all(|&v| v == 0.0));
     }
 
     #[test]

@@ -110,10 +110,17 @@ pub enum KernelId {
     Avx512F8x32,
     /// AVX-512F, 14 rows × 32 columns (28 zmm accumulators).
     Avx512F14x32,
+    /// The skinny-M streaming driver (`matmul`'s `gemm_stream`): no B
+    /// packing, one lane-array FMA chain per output element. Not a tile
+    /// kernel; its A panels use the `avx2_4x16` geometry, and sources it
+    /// cannot stream run on that tile kernel ([`KernelId::tile_kernel`]).
+    Stream,
 }
 
-/// Every variant, in descending preference order for the selector.
-pub const ALL_KERNELS: [KernelId; 5] = [
+/// Every variant. The tile kernels come in descending preference order
+/// for the selector; [`KernelId::Stream`] is chosen by shape instead.
+pub const ALL_KERNELS: [KernelId; 6] = [
+    KernelId::Stream,
     KernelId::Avx512F14x32,
     KernelId::Avx512F8x32,
     KernelId::Avx2F6x16,
@@ -126,7 +133,7 @@ impl KernelId {
     pub fn geometry(self) -> Option<(usize, usize)> {
         match self {
             KernelId::Scalar => None,
-            KernelId::Avx2F4x16 => Some((4, 16)),
+            KernelId::Avx2F4x16 | KernelId::Stream => Some((4, 16)),
             KernelId::Avx2F6x16 => Some((6, 16)),
             KernelId::Avx512F8x32 => Some((8, 32)),
             KernelId::Avx512F14x32 => Some((14, 32)),
@@ -136,7 +143,7 @@ impl KernelId {
     /// Minimum ISA this kernel needs.
     pub fn requires(self) -> Isa {
         match self {
-            KernelId::Scalar => Isa::Scalar,
+            KernelId::Scalar | KernelId::Stream => Isa::Scalar,
             KernelId::Avx2F4x16 | KernelId::Avx2F6x16 => Isa::Avx2,
             KernelId::Avx512F8x32 | KernelId::Avx512F14x32 => Isa::Avx512,
         }
@@ -150,6 +157,7 @@ impl KernelId {
             KernelId::Avx2F6x16 => "avx2_6x16",
             KernelId::Avx512F8x32 => "avx512_8x32",
             KernelId::Avx512F14x32 => "avx512_14x32",
+            KernelId::Stream => "stream",
         }
     }
 
@@ -166,6 +174,7 @@ impl KernelId {
             KernelId::Avx2F6x16 => "gemm.variant.avx2_6x16",
             KernelId::Avx512F8x32 => "gemm.variant.avx512_8x32",
             KernelId::Avx512F14x32 => "gemm.variant.avx512_14x32",
+            KernelId::Stream => "gemm.variant.stream",
         }
     }
 
@@ -177,6 +186,17 @@ impl KernelId {
             self
         } else {
             KernelId::Scalar
+        }
+    }
+
+    /// The register-tile kernel the blocked engine runs for `self`:
+    /// [`KernelId::executes_as`], except that [`KernelId::Stream`] maps to
+    /// the tile kernel of its geometry (used for the sources it does not
+    /// stream). Same geometry, so the same bits.
+    pub fn tile_kernel(self) -> KernelId {
+        match self {
+            KernelId::Stream => KernelId::Avx2F4x16.executes_as(),
+            k => k.executes_as(),
         }
     }
 }
@@ -204,7 +224,9 @@ pub(crate) fn run_tile(
     debug_assert!(acc.len() >= mr * nr);
     debug_assert_eq!(kernel.geometry().unwrap_or((mr, nr)), (mr, nr));
     match kernel {
-        KernelId::Scalar => microkernel_scalar(apan, bpan, kc, mr, nr, acc),
+        // `Stream` never reaches here (`tile_kernel` maps it away); the
+        // scalar loops are its geometry-free stand-in.
+        KernelId::Scalar | KernelId::Stream => microkernel_scalar(apan, bpan, kc, mr, nr, acc),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: callers pass kernels through `executes_as`, so reaching a
         // SIMD arm implies `isa()` probed the required CPU features; panel
@@ -484,8 +506,8 @@ mod tests {
     #[test]
     fn simd_kernels_match_scalar_bitwise() {
         for kernel in ALL_KERNELS {
-            if kernel == KernelId::Scalar || kernel.executes_as() != kernel {
-                continue; // not executable on this machine
+            if kernel == KernelId::Scalar || kernel.tile_kernel() != kernel {
+                continue; // not a tile kernel executable on this machine
             }
             let (mr, nr) = kernel.geometry().unwrap();
             for kc in [1usize, 2, 7, 64, 255] {

@@ -14,24 +14,36 @@
 //!
 //! A is packed whole ([`pack_a`]): `KC`-deep blocks of `MR`-row panels,
 //! edge panels zero-padded so the microkernel never branches. B is packed
-//! **on the fly in `KC×NC` staged blocks** with ordered double buffering:
-//! while the microkernels consume the current staged block, the next `KC`
-//! panel is packed into the other half of the staging buffer
-//! (`rayon::join`). B is described by a [`BSrc`], which the packing
-//! routines read through directly — including the *virtual im2col views*
-//! ([`BSrc::Im2col`]/[`BSrc::Im2colT`]) that let convolution run as
+//! **on the fly in `KC×NC` staged blocks**: one staging buffer, packed for
+//! a `KC` panel and then consumed by the microkernels before the next
+//! panel is packed into it. B is described by a [`BSrc`], which the
+//! packing routines read through directly — including the *virtual im2col
+//! views* ([`BSrc::Im2col`]/[`BSrc::Im2colT`]) that let convolution run as
 //! implicit GEMM without ever materializing a column matrix.
+//!
+//! Skinny shapes (`M ≤ 8`, [`KernelId::Stream`]) skip B packing: the
+//! streaming driver reads B rows (or a zero-padded copy of the image)
+//! straight into lane arrays and runs the same per-element FMA chain
+//! against the packed A panels. `BSrc::Cols` and the bf16 panels go to the
+//! blocked engine on the `avx2_4x16` tile instead.
+//!
+//! Every driver takes its scratch (the B staging block, the full B
+//! prepack, or the streaming driver's padded image copy and partial sums)
+//! from the caller, sized by `workspace_len`; [`gemm`] takes it from the
+//! pool itself, the conv path takes one per image on its dispatching
+//! thread.
 //!
 //! # Determinism contract
 //!
 //! Each output element is an ascending-`k` chain of fused multiply-adds
-//! (one FMA per product, inside the microkernel), with one plain partial-sum
-//! add into `C` per `KC` block boundary. Therefore:
+//! (one FMA per product, starting from `+0`), with one plain partial-sum
+//! add into `C` per `KC` block boundary. The microkernel tiles and the
+//! streaming lanes both compute exactly this chain. Therefore:
 //! - **`kc` is the only blueprint field that can change result bits.** The
 //!   selector derives it from the shape alone.
-//! - Kernel variant (scalar/AVX2/AVX-512), tile geometry, `nc`, and the
-//!   parallel split only partition the output space — results are bitwise
-//!   identical across all of them, and across any thread count.
+//! - Kernel variant (scalar/AVX2/AVX-512/stream), tile geometry, `nc`,
+//!   and the parallel split only partition the output space — results are
+//!   bitwise identical across all of them, and across any thread count.
 //!
 //! `all_variants_bitwise_equal` and `row_partition_is_bitwise_deterministic`
 //! in the tests pin both halves of the contract; `docs/KERNELS.md` states it
@@ -63,11 +75,29 @@ pub enum Epilogue<'a> {
     BiasRelu(&'a [f32]),
 }
 
+impl Epilogue<'_> {
+    /// The finished value of an element of output row `row` whose full dot
+    /// product is `x`.
+    #[inline(always)]
+    fn apply(self, x: f32, row: usize) -> f32 {
+        match self {
+            Epilogue::None => x,
+            Epilogue::Bias(bias) => x + bias[row],
+            Epilogue::Relu => x.max(0.0),
+            Epilogue::BiasRelu(bias) => (x + bias[row]).max(0.0),
+        }
+    }
+}
+
 /// Packed-panel element type: `f32`, or bf16 bits behind the `bf16`
 /// feature. Accumulation is always `f32`; only panel storage changes.
 pub(crate) trait Elem: Copy + Send + Sync + 'static {
     /// Pooled scratch buffer type for this element.
-    type Buf: std::ops::Deref<Target = [Self]> + std::ops::DerefMut<Target = [Self]> + Send;
+    type Buf: std::ops::Deref<Target = [Self]> + std::ops::DerefMut<Target = [Self]> + Send + Sync;
+
+    /// Whether [`Elem::stream`] runs the streaming driver. Only `f32`
+    /// panels do; the others take the blocked engine.
+    const STREAMS: bool = false;
 
     fn take_scratch(len: usize) -> Self::Buf;
     fn pack(x: f32) -> Self;
@@ -81,10 +111,44 @@ pub(crate) trait Elem: Copy + Send + Sync + 'static {
         nr: usize,
         acc: &mut [f32],
     );
+
+    /// The streaming driver over these panels; reached only when
+    /// [`Elem::STREAMS`] holds.
+    #[allow(clippy::too_many_arguments)]
+    fn stream(
+        _bp: &Blueprint,
+        _apack: &[Self],
+        _bsrc: BSrc<'_>,
+        _c: &mut [f32],
+        _m: usize,
+        _k: usize,
+        _n: usize,
+        _epi: Epilogue<'_>,
+        _ws: &mut [Self],
+    ) {
+        unreachable!("the streaming driver only runs on f32 panels");
+    }
 }
 
 impl Elem for f32 {
     type Buf = scratch::ScratchBuf;
+
+    const STREAMS: bool = true;
+
+    #[inline]
+    fn stream(
+        bp: &Blueprint,
+        apack: &[f32],
+        bsrc: BSrc<'_>,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+        ws: &mut [f32],
+    ) {
+        gemm_stream(bp, apack, bsrc, c, m, k, n, epi, ws);
+    }
 
     fn take_scratch(len: usize) -> scratch::ScratchBuf {
         scratch::take(len)
@@ -224,15 +288,15 @@ pub fn pack_a_transposed(bp: &Blueprint, a: &[f32], m: usize, k: usize, out: &mu
     pack_a_impl::<f32>(bp, a, m, k, true, out);
 }
 
-/// bf16 twin of [`pack_a`] / [`pack_a_transposed`].
-#[cfg(feature = "bf16")]
 #[dlsr::hot]
-pub fn pack_a_bf16(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool, out: &mut [u16]) {
-    pack_a_impl::<u16>(bp, a, m, k, trans, out);
-}
-
-#[dlsr::hot]
-fn pack_a_impl<E: Elem>(bp: &Blueprint, a: &[f32], m: usize, k: usize, trans: bool, out: &mut [E]) {
+pub(crate) fn pack_a_impl<E: Elem>(
+    bp: &Blueprint,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    trans: bool,
+    out: &mut [E],
+) {
     assert_eq!(a.len(), m * k);
     assert_eq!(out.len(), packed_a_len(bp, m, k));
     let mr = bp.mr;
@@ -612,11 +676,462 @@ fn compute_block<E: Elem>(
     }
 }
 
-/// Sequential driver with ordered double-buffered packing: per `NC` column
-/// block, the staging buffer is split in two and ping-ponged — while the
-/// microkernels consume the current `KC` panel, `rayon::join` packs the
-/// next one into the other half. Packing is pure data movement, so the
-/// overlap cannot change bits.
+/// Rows of B one streaming sweep reads before the accumulators go back to
+/// the partial-sum buffer.
+const SWEEP_ROWS: usize = 16;
+
+/// Widest lane chunk the streaming driver uses (see [`gemm_stream`]).
+const MAX_LANES: usize = 32;
+
+/// Output rows one streaming pass carries: a packed A panel of the
+/// stream geometry. Taller GEMMs take several passes over B.
+const PASS_ROWS: usize = 4;
+
+/// Offsets of the B rows in the streaming driver's source: `p` splits as
+/// `(a, b, d)`, `d` fastest, with extents `nb` and `nd`, and row `p` starts
+/// at `a·sa + b·sb + d·sd`.
+#[derive(Debug, Clone, Copy)]
+struct Odometer {
+    nb: usize,
+    nd: usize,
+    sa: usize,
+    sb: usize,
+    sd: usize,
+}
+
+impl Odometer {
+    /// Offsets of rows `p0..p0 + offs.len()`: one division for the first,
+    /// then the digits carry.
+    fn fill(&self, p0: usize, offs: &mut [usize]) {
+        let (a, r) = (p0 / (self.nb * self.nd), p0 % (self.nb * self.nd));
+        let (mut b, mut d) = (r / self.nd, r % self.nd);
+        let mut run = a * self.sa + b * self.sb;
+        for off in offs {
+            *off = run + d * self.sd;
+            d += 1;
+            if d == self.nd {
+                d = 0;
+                b += 1;
+                run += self.sb;
+                if b == self.nb {
+                    b = 0;
+                    run = run - self.nb * self.sb + self.sa;
+                }
+            }
+        }
+    }
+}
+
+/// The output columns of a streaming GEMM as lane chunks. A chunk is
+/// `(u1, u2, v0)` with `u1 < n1`, `u2 < n2` and `v0` stepping through
+/// `0..nv` by the lane width; its lane `t` reads the source at
+/// `u1·b1 + u2·b2 + (v0 + t)·bv` plus the row offset, and lands in `C`
+/// column `u1·c1 + u2·c2 + (v0 + t)·cv`.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    n1: usize,
+    b1: usize,
+    c1: usize,
+    n2: usize,
+    b2: usize,
+    c2: usize,
+    nv: usize,
+    bv: usize,
+    cv: usize,
+}
+
+impl Grid {
+    /// Call `f(index, source base, first C column, live lanes)` for every
+    /// `lanes`-wide chunk, in a fixed order.
+    #[inline(always)]
+    fn for_each_chunk(self, lanes: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+        let mut ci = 0;
+        for u1 in 0..self.n1 {
+            for u2 in 0..self.n2 {
+                for v0 in (0..self.nv).step_by(lanes) {
+                    let base = u1 * self.b1 + u2 * self.b2 + v0 * self.bv;
+                    let col0 = u1 * self.c1 + u2 * self.c2 + v0 * self.cv;
+                    f(ci, base, col0, lanes.min(self.nv - v0));
+                    ci += 1;
+                }
+            }
+        }
+    }
+
+    /// Partial-sum floats any pass needs: every chunk padded to the
+    /// widest lane count, times the most rows a pass holds.
+    fn partial_len(self) -> usize {
+        self.n1 * self.n2 * (self.nv + MAX_LANES - 1) * PASS_ROWS
+    }
+}
+
+/// How the streaming driver reads one B source: the length of the
+/// zero-padded image it stages first (0 for `Rows`), the row offsets and
+/// the column chunks.
+struct StreamLayout {
+    stage: usize,
+    odo: Odometer,
+    grid: Grid,
+}
+
+impl StreamLayout {
+    fn of(bsrc: &BSrc<'_>, k: usize, n: usize) -> StreamLayout {
+        match bsrc {
+            // (`Cols` never streams; see `driver`.)
+            BSrc::Rows(_) | BSrc::Cols(_) => StreamLayout {
+                stage: 0,
+                odo: Odometer {
+                    nb: 1,
+                    nd: k.max(1),
+                    sa: 0,
+                    sb: 0,
+                    sd: n,
+                },
+                grid: Grid {
+                    n1: 1,
+                    b1: 0,
+                    c1: 0,
+                    n2: 1,
+                    b2: 0,
+                    c2: 0,
+                    nv: n,
+                    bv: 1,
+                    cv: 1,
+                },
+            },
+            BSrc::Im2col(v) => {
+                let (_, wp) = v.padded_extents();
+                StreamLayout {
+                    stage: v.padded_len(),
+                    // p = (channel, ky, kx) over channels-first planes
+                    odo: Odometer {
+                        nb: v.kh,
+                        nd: v.kw,
+                        sa: v.padded_len() / v.c_in,
+                        sb: wp,
+                        sd: 1,
+                    },
+                    // chunks: (output row, -, output x run)
+                    grid: Grid {
+                        n1: v.h_out,
+                        b1: v.stride * wp,
+                        c1: v.w_out,
+                        n2: 1,
+                        b2: 0,
+                        c2: 0,
+                        nv: v.w_out,
+                        bv: v.stride,
+                        cv: 1,
+                    },
+                }
+            }
+            BSrc::Im2colT(v) => {
+                let (_, wp) = v.padded_extents();
+                let c_in = v.c_in;
+                StreamLayout {
+                    stage: v.padded_len(),
+                    // p = (output y, output x) over channels-last pixels
+                    odo: Odometer {
+                        nb: v.h_out,
+                        nd: v.w_out,
+                        sa: 0,
+                        sb: v.stride * wp * c_in,
+                        sd: v.stride * c_in,
+                    },
+                    // chunks: (ky, kx, channel run); column = channel·khw + tap
+                    grid: Grid {
+                        n1: v.kh,
+                        b1: wp * c_in,
+                        c1: v.kw,
+                        n2: v.kw,
+                        b2: c_in,
+                        c2: 1,
+                        nv: c_in,
+                        bv: 1,
+                        cv: v.kh * v.kw,
+                    },
+                }
+            }
+        }
+    }
+
+    /// Workspace floats: the staged image, then the partial sums.
+    fn workspace_len(&self) -> usize {
+        self.stage + self.grid.partial_len()
+    }
+}
+
+impl Im2colView<'_> {
+    /// Extents `(hp, wp)` of the zero-padded image the streaming driver
+    /// stages: the image framed by `padding` zeros, grown where a window
+    /// would otherwise reach past it (images smaller than the kernel).
+    fn padded_extents(&self) -> (usize, usize) {
+        let hp = (self.h + 2 * self.padding).max((self.h_out - 1) * self.stride + self.kh);
+        let wp = (self.w + 2 * self.padding).max((self.w_out - 1) * self.stride + self.kw);
+        (hp, wp)
+    }
+
+    /// Length of the staged zero-padded image.
+    fn padded_len(&self) -> usize {
+        let (hp, wp) = self.padded_extents();
+        self.c_in * hp * wp
+    }
+}
+
+/// Stage the view's image, zero-padded, into `dst`: channels-first
+/// (`[c][hp][wp]`, for [`BSrc::Im2col`]) or channels-last (`[hp][wp][c]`,
+/// for [`BSrc::Im2colT`]). Every tap of every output pixel then lands
+/// inside the copy, and the taps outside the image read zeros.
+#[dlsr::hot]
+fn stage_padded(v: &Im2colView<'_>, channels_last: bool, dst: &mut [f32]) {
+    let (hp, wp) = v.padded_extents();
+    let (c_in, h, w, pad) = (v.c_in, v.h, v.w, v.padding);
+    let dst = &mut dst[..c_in * hp * wp];
+    if channels_last {
+        for (y, drow) in dst.chunks_exact_mut(wp * c_in).enumerate() {
+            if y < pad || y >= pad + h {
+                drow.fill(0.0);
+                continue;
+            }
+            let (left, rest) = drow.split_at_mut(pad * c_in);
+            let (mid, right) = rest.split_at_mut(w * c_in);
+            left.fill(0.0);
+            right.fill(0.0);
+            for ch in 0..c_in {
+                let src = &v.img[(ch * h + y - pad) * w..][..w];
+                for (d, &s) in mid[ch..].iter_mut().step_by(c_in).zip(src) {
+                    *d = s;
+                }
+            }
+        }
+    } else {
+        for (ch, plane) in dst.chunks_exact_mut(hp * wp).enumerate() {
+            for (y, drow) in plane.chunks_exact_mut(wp).enumerate() {
+                if y < pad || y >= pad + h {
+                    drow.fill(0.0);
+                    continue;
+                }
+                let (left, rest) = drow.split_at_mut(pad);
+                let (mid, right) = rest.split_at_mut(w);
+                left.fill(0.0);
+                right.fill(0.0);
+                mid.copy_from_slice(&v.img[(ch * h + y - pad) * w..][..w]);
+            }
+        }
+    }
+}
+
+/// Eight `f32` lanes, one AVX2 register's worth: the unit the streaming
+/// driver's chains are written in, so that they vectorize.
+type Lane8 = [f32; 8];
+
+#[inline(always)]
+fn fma8(a: f32, b: &Lane8, c: Lane8) -> Lane8 {
+    std::array::from_fn(|l| a.mul_add(b[l], c[l]))
+}
+
+/// Continue the chains of one `8·V`-lane chunk of `M` rows over a sweep of
+/// B rows: `acc[i][l] = fma(A(i, p), B(p, l), acc[i][l])` for each row `p`
+/// in ascending order, `A(i, p)` at `a_rows[p·M + i]` and lane `l` of row
+/// `p` at `src[base + off(p) + l]`.
+/// The accumulators live in `partial` between sweeps (an exact `f32`
+/// round trip) and in registers during one.
+#[inline(always)]
+#[dlsr::hot]
+fn sweep_lanes<const M: usize, const V: usize>(
+    partial: &mut [f32],
+    a_rows: &[f32],
+    src: &[f32],
+    base: usize,
+    offs: &[usize],
+) {
+    let lane8 = |s: &[f32], j: usize| -> Lane8 { s[j * 8..j * 8 + 8].try_into().expect("8 lanes") };
+    let mut acc: [[Lane8; V]; M] =
+        std::array::from_fn(|i| std::array::from_fn(|v| lane8(partial, i * V + v)));
+    for (av, &off) in a_rows.as_chunks::<M>().0.iter().zip(offs) {
+        let run = &src[base + off..base + off + 8 * V];
+        let b: [Lane8; V] = std::array::from_fn(|v| lane8(run, v));
+        for i in 0..M {
+            for v in 0..V {
+                acc[i][v] = fma8(av[i], &b[v], acc[i][v]);
+            }
+        }
+    }
+    for (i, acc_i) in acc.iter().enumerate() {
+        for (v, x) in acc_i.iter().enumerate() {
+            partial[(i * V + v) * 8..(i * V + v + 1) * 8].copy_from_slice(x);
+        }
+    }
+}
+
+/// [`sweep_lanes`] for chunks whose lanes are strided (`step` apart) or
+/// run past the end of `src`, with the chunk's `m` rows and `lanes` lanes
+/// as runtime values (`a_rows` holds `m` values per B row): each lane is
+/// read on its own, zeros past the end of `src`.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+#[dlsr::hot]
+fn sweep_lanes_gather(
+    partial: &mut [f32],
+    a_rows: &[f32],
+    m: usize,
+    lanes: usize,
+    src: &[f32],
+    base: usize,
+    step: usize,
+    offs: &[usize],
+) {
+    for (av, &off) in a_rows.chunks_exact(m).zip(offs) {
+        for (acc, &a) in partial.chunks_exact_mut(lanes).zip(av) {
+            for (t, x) in acc.iter_mut().enumerate() {
+                let b = src.get(base + off + t * step).copied().unwrap_or(0.0);
+                *x = a.mul_add(b, *x);
+            }
+        }
+    }
+}
+
+/// One streaming GEMM call: the packed A panels and their blocking, B as
+/// the driver reads it, and where the results go.
+struct StreamCall<'a> {
+    apack: &'a [f32],
+    mr: usize,
+    mr_pad: usize,
+    kc: usize,
+    k: usize,
+    n: usize,
+    src: &'a [f32],
+    lay: StreamLayout,
+    epi: Epilogue<'a>,
+}
+
+/// Continues one chunk's chains over one sweep: `(partial chunk, A rows
+/// of the sweep, source base, row offsets)`.
+type Sweep<'a> = &'a dyn Fn(&mut [f32], &[f32], usize, &[usize]);
+
+/// Output rows `r0..r0 + m` (`m ≤ PASS_ROWS`) of a streaming GEMM,
+/// `lanes` lanes per chunk, `sweep` the [`sweep_lanes`] of that shape.
+///
+/// Per `KC` block every chain starts from `+0` in `partial`; the block's
+/// B rows are swept [`SWEEP_ROWS`] at a time in ascending order, each
+/// sweep visiting every chunk; then each chunk's sums are copied (first
+/// block) or added (later blocks) into `C`, with the epilogue after the
+/// last block. Per output element that is the engine's arithmetic: one
+/// ascending-`p` `mul_add` chain per block, one plain add per boundary.
+#[allow(clippy::too_many_arguments)]
+fn stream_pass(
+    s: &StreamCall<'_>,
+    r0: usize,
+    m: usize,
+    lanes: usize,
+    c: &mut [f32],
+    partial: &mut [f32],
+    sweep: Sweep<'_>,
+) {
+    let (mr, k, n, g) = (s.mr, s.k, s.n, s.lay.grid);
+    let chunk_len = m * lanes;
+    let nchunks = g.n1 * g.n2 * g.nv.div_ceil(lanes);
+    for kb in (0..k).step_by(s.kc) {
+        let kc = s.kc.min(k - kb);
+        partial[..nchunks * chunk_len].fill(0.0);
+        for p0 in (kb..kb + kc).step_by(SWEEP_ROWS) {
+            let rows = SWEEP_ROWS.min(kb + kc - p0);
+            let mut offs = [0usize; SWEEP_ROWS];
+            let offs = &mut offs[..rows];
+            s.lay.odo.fill(p0, offs);
+            let offs = &*offs;
+            // A(r0 + i, p) sits in panel (r0 + i) / mr of block kb.
+            let mut a_buf = [0.0f32; SWEEP_ROWS * PASS_ROWS];
+            let a_rows = &mut a_buf[..rows * m];
+            for (q, ar) in (p0 - kb..).zip(a_rows.chunks_exact_mut(m)) {
+                for (row, x) in (r0..).zip(ar) {
+                    *x = s.apack[kb * s.mr_pad + row / mr * (mr * kc) + q * mr + row % mr];
+                }
+            }
+            let a_rows = &*a_rows;
+            g.for_each_chunk(lanes, |ci, base, _, _| {
+                let pc = &mut partial[ci * chunk_len..(ci + 1) * chunk_len];
+                // Row offsets grow with p: the sweep's last row bounds it.
+                if g.bv == 1 && base + offs[rows - 1] + lanes <= s.src.len() {
+                    sweep(pc, a_rows, base, offs);
+                } else {
+                    sweep_lanes_gather(pc, a_rows, m, lanes, s.src, base, g.bv, offs);
+                }
+            });
+        }
+        let finalize = (kb + kc == k).then_some(s.epi);
+        g.for_each_chunk(lanes, |ci, _, col0, live| {
+            let pc = &partial[ci * chunk_len..(ci + 1) * chunk_len];
+            for (i, acc) in pc.chunks_exact(lanes).enumerate() {
+                let row = &mut c[(r0 + i) * n..(r0 + i + 1) * n];
+                for (t, &x) in acc[..live].iter().enumerate() {
+                    let d = &mut row[col0 + t * g.cv];
+                    let v = if kb == 0 { x } else { *d + x };
+                    *d = finalize.map_or(v, |e| e.apply(v, r0 + i));
+                }
+            }
+        });
+    }
+}
+
+/// The streaming driver for skinny `M`: B is never packed. `Rows` are read
+/// in place; an im2col view is first staged once into `ws` as a
+/// zero-padded image — channels-first for `Im2col`, so a chunk's lanes are
+/// a shifted image-row run, and channels-last for `Im2colT`, so lanes run
+/// over channels. The rest of `ws` holds the chunks' partial sums. Rows go
+/// in passes of up to [`PASS_ROWS`].
+#[allow(clippy::too_many_arguments)]
+fn gemm_stream(
+    bp: &Blueprint,
+    apack: &[f32],
+    bsrc: BSrc<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    epi: Epilogue<'_>,
+    ws: &mut [f32],
+) {
+    let lay = StreamLayout::of(&bsrc, k, n);
+    let (stage, partial) = ws.split_at_mut(lay.stage);
+    let src: &[f32] = match bsrc {
+        BSrc::Rows(b) => b,
+        BSrc::Im2col(v) | BSrc::Im2colT(v) => {
+            stage_padded(&v, matches!(bsrc, BSrc::Im2colT(_)), stage);
+            stage
+        }
+        BSrc::Cols(_) => unreachable!("`Cols` runs on the blocked engine"),
+    };
+    let call = StreamCall {
+        apack,
+        mr: bp.mr,
+        mr_pad: m.div_ceil(bp.mr) * bp.mr,
+        kc: bp.kc,
+        k,
+        n,
+        src,
+        lay,
+        epi,
+    };
+    for r0 in (0..m).step_by(PASS_ROWS) {
+        let rows = (m - r0).min(PASS_ROWS);
+        // Lanes per chunk: a sweep's accumulators fill most of the 16 AVX2
+        // registers.
+        let lanes = if rows == 4 { 16 } else { 32 };
+        let sweep: Sweep<'_> = match rows {
+            1 => &|pc, a, base, offs| sweep_lanes::<1, 4>(pc, a, src, base, offs),
+            2 => &|pc, a, base, offs| sweep_lanes::<2, 4>(pc, a, src, base, offs),
+            3 => &|pc, a, base, offs| sweep_lanes::<3, 4>(pc, a, src, base, offs),
+            _ => &|pc, a, base, offs| sweep_lanes::<4, 2>(pc, a, src, base, offs),
+        };
+        stream_pass(&call, r0, rows, lanes, c, partial, sweep);
+    }
+}
+
+/// Sequential driver: per `NC` column block and `KC` panel, pack the B
+/// block into `stage` and run the microkernels over it, then pack the next
+/// panel into the same buffer. `stage` holds at least one `KC×NC` block
+/// (see [`workspace_len`]).
 #[allow(clippy::too_many_arguments)]
 fn gemm_seq<E: Elem>(
     bp: &Blueprint,
@@ -628,66 +1143,31 @@ fn gemm_seq<E: Elem>(
     k: usize,
     n: usize,
     epi: Epilogue<'_>,
+    stage: &mut [E],
 ) {
     let (nr, kc_full, nc) = (bp.nr, bp.kc, bp.nc);
-    let mut stage = E::take_scratch(2 * nc * kc_full);
-    let (mut cur, mut nxt) = stage.split_at_mut(nc * kc_full);
     let kb_last = (k - 1) / kc_full * kc_full;
     for jc in (0..n).step_by(nc) {
         let ncb = nc.min(n - jc).div_ceil(nr) * nr;
-        pack_b_block::<E>(bp, bsrc, k, n, jc, ncb, 0, kc_full.min(k), cur);
-        let mut kb = 0;
-        while kb < k {
+        for kb in (0..k).step_by(kc_full) {
             let kc = kc_full.min(k - kb);
-            let next_kb = kb + kc;
-            if next_kb < k {
-                let next_kc = kc_full.min(k - next_kb);
-                let curv: &[E] = cur;
-                let cref = &mut *c;
-                let nref = &mut *nxt;
-                rayon::join(
-                    || {
-                        compute_block::<E>(
-                            kernel,
-                            bp,
-                            apack,
-                            curv,
-                            cref,
-                            0,
-                            m,
-                            n,
-                            jc,
-                            ncb,
-                            kb,
-                            kc,
-                            epi,
-                            kb == kb_last,
-                        );
-                    },
-                    || {
-                        pack_b_block::<E>(bp, bsrc, k, n, jc, ncb, next_kb, next_kc, nref);
-                    },
-                );
-            } else {
-                compute_block::<E>(
-                    kernel,
-                    bp,
-                    apack,
-                    cur,
-                    c,
-                    0,
-                    m,
-                    n,
-                    jc,
-                    ncb,
-                    kb,
-                    kc,
-                    epi,
-                    kb == kb_last,
-                );
-            }
-            std::mem::swap(&mut cur, &mut nxt);
-            kb = next_kb;
+            pack_b_block::<E>(bp, bsrc, k, n, jc, ncb, kb, kc, stage);
+            compute_block::<E>(
+                kernel,
+                bp,
+                apack,
+                stage,
+                c,
+                0,
+                m,
+                n,
+                jc,
+                ncb,
+                kb,
+                kc,
+                epi,
+                kb == kb_last,
+            );
         }
     }
 }
@@ -699,10 +1179,10 @@ fn packed_b_len_for(bp: &Blueprint, k: usize, n: usize) -> usize {
     k * cols
 }
 
-/// Row-parallel driver: prepack all of B once (parallel over column
-/// blocks), then fan the row panels of `C` out across rayon. Per output
-/// element the k-order is identical to [`gemm_seq`], so the two drivers
-/// are bitwise interchangeable.
+/// Row-parallel driver: prepack all of B once into `bfull` (parallel over
+/// column blocks), then fan the row panels of `C` out across rayon. Per
+/// output element the k-order is identical to [`gemm_seq`], so the two
+/// drivers are bitwise interchangeable.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows_par<E: Elem>(
     bp: &Blueprint,
@@ -714,12 +1194,12 @@ fn gemm_rows_par<E: Elem>(
     k: usize,
     n: usize,
     epi: Epilogue<'_>,
+    bfull: &mut [E],
 ) {
     let (mr, nr, kc_full, nc) = (bp.mr, bp.nr, bp.kc, bp.nc);
-    let mut bfull = E::take_scratch(packed_b_len_for(bp, k, n));
     // Carve one disjoint slice per column block so packing can fan out.
     let mut blocks: Vec<(usize, usize, &mut [E])> = Vec::new();
-    let mut rest: &mut [E] = &mut bfull;
+    let mut rest: &mut [E] = bfull;
     for jc in (0..n).step_by(nc) {
         let ncb = nc.min(n - jc).div_ceil(nr) * nr;
         let (head, tail) = rest.split_at_mut(k * ncb);
@@ -763,8 +1243,63 @@ fn gemm_rows_par<E: Elem>(
     });
 }
 
+/// Which driver runs one GEMM call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// [`gemm_stream`]: skinny-M blueprints over every source but `Cols`.
+    Stream,
+    /// [`gemm_rows_par`]: row panels fanned out across rayon.
+    Rows,
+    /// [`gemm_seq`]: one staged B block at a time.
+    Seq,
+}
+
+fn driver<E: Elem>(bp: &Blueprint, bsrc: &BSrc<'_>, force_seq: bool) -> Driver {
+    if E::STREAMS && bp.kernel == KernelId::Stream && !matches!(bsrc, BSrc::Cols(_)) {
+        Driver::Stream
+    } else if !force_seq && bp.par == ParHint::Rows && rayon::current_num_threads() > 1 {
+        Driver::Rows
+    } else {
+        Driver::Seq
+    }
+}
+
+/// The kernel variant that serves one GEMM call: [`KernelId::Stream`] when
+/// the streaming driver runs, otherwise the blueprint's tile kernel as
+/// this machine executes it. Span labels and the `gemm.variant.*`
+/// counters name this.
+pub(crate) fn variant<E: Elem>(bp: &Blueprint, bsrc: &BSrc<'_>, force_seq: bool) -> KernelId {
+    match driver::<E>(bp, bsrc, force_seq) {
+        Driver::Stream => KernelId::Stream,
+        Driver::Rows | Driver::Seq => bp.kernel.tile_kernel(),
+    }
+}
+
+/// Scratch length, in `E` elements, that one GEMM call needs: the
+/// streaming driver's padded image copy, the full B prepack of the
+/// row-parallel driver, or one staged `KC×NC` block.
+pub(crate) fn workspace_len<E: Elem>(
+    bp: &Blueprint,
+    bsrc: &BSrc<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    force_seq: bool,
+) -> usize {
+    if m == 0 || k == 0 || n == 0 {
+        return 0;
+    }
+    match driver::<E>(bp, bsrc, force_seq) {
+        Driver::Stream => StreamLayout::of(bsrc, k, n).workspace_len(),
+        Driver::Rows => packed_b_len_for(bp, k, n),
+        Driver::Seq => bp.nc.min(n.div_ceil(bp.nr) * bp.nr) * bp.kc.min(k),
+    }
+}
+
+/// [`gemm`] over either panel element type, with the caller's workspace
+/// (`ws.len() >= workspace_len(..)`).
 #[allow(clippy::too_many_arguments)]
-fn gemm_generic<E: Elem>(
+pub(crate) fn gemm_generic<E: Elem>(
     bp: &Blueprint,
     apack: &[E],
     bsrc: BSrc<'_>,
@@ -774,6 +1309,7 @@ fn gemm_generic<E: Elem>(
     n: usize,
     epi: Epilogue<'_>,
     force_seq: bool,
+    ws: &mut [E],
 ) {
     assert_eq!(c.len(), m * n);
     assert_eq!(apack.len(), packed_a_len(bp, m, k));
@@ -783,6 +1319,7 @@ fn gemm_generic<E: Elem>(
         BSrc::Im2col(v) => debug_assert_eq!((v.rows(), v.cols()), (k, n)),
         BSrc::Im2colT(v) => debug_assert_eq!((v.cols(), v.rows()), (k, n)),
     }
+    assert!(ws.len() >= workspace_len::<E>(bp, &bsrc, m, k, n, force_seq));
     if m == 0 || n == 0 {
         return;
     }
@@ -797,20 +1334,21 @@ fn gemm_generic<E: Elem>(
         }
         return;
     }
-    let kernel = bp.kernel.executes_as();
+    let drv = driver::<E>(bp, &bsrc, force_seq);
+    let kernel = variant::<E>(bp, &bsrc, force_seq);
     let tiles = m.div_ceil(bp.mr) * n.div_ceil(bp.nr) * k.div_ceil(bp.kc);
     dlsr_trace::counter_add(kernel.counter_key(), tiles as f64);
-    if !force_seq && bp.par == ParHint::Rows && rayon::current_num_threads() > 1 {
-        gemm_rows_par::<E>(bp, kernel, apack, bsrc, c, m, k, n, epi);
-    } else {
-        gemm_seq::<E>(bp, kernel, apack, bsrc, c, m, k, n, epi);
+    match drv {
+        Driver::Stream => E::stream(bp, apack, bsrc, c, m, k, n, epi, ws),
+        Driver::Rows => gemm_rows_par::<E>(bp, kernel, apack, bsrc, c, m, k, n, epi, ws),
+        Driver::Seq => gemm_seq::<E>(bp, kernel, apack, bsrc, c, m, k, n, epi, ws),
     }
 }
 
 /// Multiply a prepacked A against any B source: `c[m×n] = A·B`, then apply
 /// `epi`. `c` is overwritten.
 ///
-/// `force_seq` pins the sequential driver — callers already inside a
+/// `force_seq` pins a sequential driver — callers already inside a
 /// batch-parallel region must not fan out again. Either way the result is
 /// bitwise identical (see module docs).
 #[allow(clippy::too_many_arguments)]
@@ -825,26 +1363,8 @@ pub fn gemm(
     epi: Epilogue<'_>,
     force_seq: bool,
 ) {
-    gemm_generic::<f32>(bp, apack, bsrc, c, m, k, n, epi, force_seq);
-}
-
-/// bf16-storage twin of [`gemm`]: packed panels hold bf16, accumulation is
-/// f32. Not bitwise-comparable to the f32 path — the convergence test is
-/// the contract.
-#[cfg(feature = "bf16")]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_bf16(
-    bp: &Blueprint,
-    apack: &[u16],
-    bsrc: BSrc<'_>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    epi: Epilogue<'_>,
-    force_seq: bool,
-) {
-    gemm_generic::<u16>(bp, apack, bsrc, c, m, k, n, epi, force_seq);
+    let mut ws = scratch::take(workspace_len::<f32>(bp, &bsrc, m, k, n, force_seq));
+    gemm_generic::<f32>(bp, apack, bsrc, c, m, k, n, epi, force_seq, &mut ws);
 }
 
 /// `C = A(m×k) · B(k×n)`.
@@ -1083,8 +1603,8 @@ mod tests {
         }
     }
 
-    /// The row-parallel driver and the sequential double-buffered driver
-    /// must agree bitwise — thread-count determinism.
+    /// The row-parallel driver and the sequential staged driver must
+    /// agree bitwise — thread-count determinism.
     #[test]
     fn rows_driver_matches_seq_bitwise() {
         let (m, k, n) = (23, 300, 290);
@@ -1094,6 +1614,7 @@ mod tests {
         let mut apack = vec![0.0; packed_a_len(&bp, m, k)];
         pack_a(&bp, &a, m, k, &mut apack);
         let mut c_seq = vec![0.0; m * n];
+        let mut stage = vec![0.0; bp.nc * bp.kc];
         gemm_seq::<f32>(
             &bp,
             KernelId::Scalar,
@@ -1104,8 +1625,10 @@ mod tests {
             k,
             n,
             Epilogue::None,
+            &mut stage,
         );
         let mut c_par = vec![0.0; m * n];
+        let mut bfull = vec![0.0; packed_b_len_for(&bp, k, n)];
         gemm_rows_par::<f32>(
             &bp,
             KernelId::Scalar,
@@ -1116,6 +1639,7 @@ mod tests {
             k,
             n,
             Epilogue::None,
+            &mut bfull,
         );
         assert_eq!(c_seq, c_par);
     }
@@ -1371,9 +1895,10 @@ mod tests {
         let b = seq(k * n, 0.033);
         let bp = scalar_bp(6, 16, 70, 256);
         let mut apack = vec![0u16; packed_a_len(&bp, m, k)];
-        pack_a_bf16(&bp, &a, m, k, false, &mut apack);
+        pack_a_impl::<u16>(&bp, &a, m, k, false, &mut apack);
         let mut c = vec![0.0; m * n];
-        gemm_bf16(
+        let mut ws = vec![0u16; workspace_len::<u16>(&bp, &BSrc::Rows(&b), m, k, n, false)];
+        gemm_generic::<u16>(
             &bp,
             &apack,
             BSrc::Rows(&b),
@@ -1383,6 +1908,7 @@ mod tests {
             n,
             Epilogue::None,
             false,
+            &mut ws,
         );
         let reference = naive(&a, &b, m, k, n);
         for (x, y) in c.iter().zip(reference.iter()) {

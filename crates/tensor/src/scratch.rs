@@ -14,6 +14,15 @@
 //! than thread-local so buffers survive across rayon worker generations and
 //! across layers sharing shapes.
 //!
+//! **Take scratch on the dispatching thread.** The pool hands out the
+//! smallest buffer that fits, so which buffer a `take` gets — and whether
+//! it must grow one — depends on the order of takes and returns. A kernel
+//! that fans out across rayon therefore takes every buffer its workers
+//! need *before* the parallel section, in a fixed order (one region per
+//! work item), and the workers only borrow slices of them. Takes from
+//! inside a parallel section would make the pool's steady state depend on
+//! thread timing.
+//!
 //! [`alloc_events`] counts how many `take` calls had to touch the allocator
 //! (pool miss or capacity growth); tests assert it stays flat in steady
 //! state.
@@ -64,8 +73,8 @@ impl Drop for ScratchBuf {
 ///
 /// Reuses pooled storage when a buffer with sufficient capacity is
 /// available; otherwise allocates (counted by [`alloc_events`]). Safe to
-/// call concurrently from rayon workers — each call returns a distinct
-/// buffer.
+/// call concurrently — each call returns a distinct buffer — but see the
+/// module docs for why kernels take on the dispatching thread.
 pub fn take(len: usize) -> ScratchBuf {
     dlsr_trace::counter_add(dlsr_trace::report::keys::SCRATCH_TAKES, 1.0);
     let candidate = {

@@ -119,6 +119,11 @@ impl Blueprint {
 /// this, thread dispatch costs more than the multiply.
 const PAR_FLOP_THRESHOLD: usize = 1 << 21;
 
+/// Largest `m` the heuristic sends to the streaming driver
+/// ([`KernelId::Stream`]). Up to here, packing B costs as much as the
+/// multiply it feeds.
+pub const STREAM_MAX_M: usize = 8;
+
 /// The EDSR training shapes (batch-4 48×48 patches, F=64 body) the cache
 /// is seeded with: forward head/body/tail, the upsampler, and the
 /// backward weight/input-gradient GEMMs. Keeping them here means the
@@ -139,18 +144,22 @@ pub const EDSR_SHAPES: [(usize, usize, usize); 10] = [
 /// Deterministic heuristic for shapes without a cache entry.
 ///
 /// - `kc`: `min(256, k)` — shape-only, so bits never depend on ISA.
-/// - kernel: the executable variant minimizing padded-row waste
-///   `ceil(m/mr)·mr`, ties broken toward wider tiles (more arithmetic per
-///   packed byte).
+/// - kernel: [`KernelId::Stream`] (sequential, at its `4×16` panel
+///   geometry) for `m ≤` [`STREAM_MAX_M`]; otherwise the executable tile
+///   kernel minimizing padded-row waste `ceil(m/mr)·mr`, ties broken
+///   toward wider tiles (more arithmetic per packed byte).
 /// - `nc`: 256 rounded to a multiple of `nr` (keeps one packed B block
 ///   L2-resident).
 /// - `par`: row fan-out once the FLOP count covers thread dispatch and
 ///   there are at least two row panels to split.
 pub fn heuristic(m: usize, k: usize, n: usize) -> Blueprint {
     let kc = k.clamp(1, 256);
+    if m <= STREAM_MAX_M {
+        return stream_blueprint(kc);
+    }
     let mut best: Option<(usize, usize, KernelId, usize, usize)> = None;
     for kid in ALL_KERNELS {
-        if kid.requires() > isa() {
+        if kid == KernelId::Stream || kid.requires() > isa() {
             continue;
         }
         let (mr, nr) = kid.geometry().unwrap_or((4, 16));
@@ -179,6 +188,19 @@ pub fn heuristic(m: usize, k: usize, n: usize) -> Blueprint {
         kc,
         nc,
         par,
+    }
+}
+
+/// The streaming blueprint at depth `kc`.
+fn stream_blueprint(kc: usize) -> Blueprint {
+    let (mr, nr) = KernelId::Stream.geometry().unwrap_or((4, 16));
+    Blueprint {
+        kernel: KernelId::Stream,
+        mr,
+        nr,
+        kc,
+        nc: 256,
+        par: ParHint::Seq,
     }
 }
 
@@ -286,14 +308,18 @@ pub fn write_cache(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, out)
 }
 
-/// Candidate blueprints the offline tuner measures for one shape: every
-/// executable kernel × a small `nc` sweep. `kc` is pinned by the
-/// heuristic so tuning can never change result bits.
+/// Candidate blueprints the offline tuner measures for one shape: the
+/// streaming driver when `m ≤` [`STREAM_MAX_M`], then every executable
+/// tile kernel × a small `nc` sweep. `kc` is pinned by the heuristic so
+/// tuning can never change result bits.
 pub fn candidates(m: usize, k: usize, n: usize) -> Vec<Blueprint> {
     let base = heuristic(m, k, n);
     let mut out = Vec::new();
+    if m <= STREAM_MAX_M {
+        out.push(stream_blueprint(base.kc));
+    }
     for kid in ALL_KERNELS {
-        if kid.requires() > isa() {
+        if kid == KernelId::Stream || kid.requires() > isa() {
             continue;
         }
         let (mr, nr) = kid.geometry().unwrap_or((4, 16));
@@ -401,6 +427,32 @@ mod tests {
         assert_eq!(parsed, bp);
         assert!(parse_line("garbage line").is_none());
         assert!(parse_line("1 2 3 not_a_kernel 4 16 2 256 seq").is_none());
+    }
+
+    /// Skinny `m` streams: the heuristic picks it, the tuner offers it,
+    /// and cache lines naming it load with its geometry.
+    #[test]
+    fn skinny_shapes_stream() {
+        let bp = heuristic(3, 576, 1024);
+        assert_eq!(
+            (bp.kernel, bp.mr, bp.nr, bp.kc),
+            (KernelId::Stream, 4, 16, 256)
+        );
+        assert_ne!(
+            heuristic(STREAM_MAX_M + 1, 576, 1024).kernel,
+            KernelId::Stream
+        );
+        let offered = |m| {
+            candidates(m, 576, 1024)
+                .iter()
+                .any(|c| c.kernel == KernelId::Stream)
+        };
+        assert!(offered(STREAM_MAX_M) && !offered(STREAM_MAX_M + 1));
+        let (_, parsed) = parse_line("3 576 1024 stream 8 32 256 256 seq").expect("parse");
+        assert_eq!(
+            (parsed.kernel, parsed.mr, parsed.nr),
+            (KernelId::Stream, 4, 16)
+        );
     }
 
     #[test]

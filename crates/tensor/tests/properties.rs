@@ -38,6 +38,96 @@ fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
 }
 
+/// The streaming-driver blueprint at a forced `kc`.
+fn stream_bp(kc: usize) -> Blueprint {
+    Blueprint {
+        kernel: KernelId::Stream,
+        mr: 4,
+        nr: 16,
+        kc,
+        nc: 256,
+        par: ParHint::Seq,
+    }
+}
+
+/// Raw draws for [`special_values`]: a category and a finite value each.
+fn raw_values(len: usize) -> impl Strategy<Value = Vec<(u32, f32)>> {
+    proptest::collection::vec((0u32..100, -2.0f32..2.0), len)
+}
+
+/// Decode raw draws: mostly finite, with signed zeros sprinkled in, and —
+/// when `non_finite` — infinities and NaNs too.
+fn special_values(raw: &[(u32, f32)], non_finite: bool) -> Vec<f32> {
+    raw.iter()
+        .map(|&(cat, x)| match cat {
+            0..=2 => 0.0,
+            3..=5 => -0.0,
+            6 if non_finite => f32::INFINITY,
+            7 if non_finite => f32::NEG_INFINITY,
+            8 if non_finite => f32::NAN,
+            _ => x,
+        })
+        .collect()
+}
+
+/// One of the four epilogues, biases included (`-0.0` among them).
+fn epilogue(which: usize, bias: &[f32]) -> Epilogue<'_> {
+    match which {
+        0 => Epilogue::None,
+        1 => Epilogue::Bias(bias),
+        2 => Epilogue::Relu,
+        _ => Epilogue::BiasRelu(bias),
+    }
+}
+
+/// `a[m×k]` packed under `bp` against `bsrc`, epilogue applied.
+#[allow(clippy::too_many_arguments)]
+fn run_gemm_epi(
+    bp: &Blueprint,
+    a: &[f32],
+    bsrc: BSrc<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    epi: Epilogue<'_>,
+) -> Vec<u32> {
+    let mut apack = scratch::take(matmul::packed_a_len(bp, m, k));
+    matmul::pack_a(bp, a, m, k, &mut apack);
+    let mut c = vec![0.0f32; m * n];
+    matmul::gemm(bp, &apack, bsrc, &mut c, m, k, n, epi, false);
+    // Bits, except that every NaN is one NaN: x86 FMA keeps the payload of
+    // whichever NaN operand its encoding lists first, and the two drivers'
+    // compiled loops may list them differently.
+    c.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// The streaming driver against the scalar engine at the same `kc`, on
+/// one B source.
+#[allow(clippy::too_many_arguments)]
+fn stream_matches_oracle(
+    a: &[f32],
+    bsrc: BSrc<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    kc: usize,
+    epi: Epilogue<'_>,
+) -> Result<(), proptest::TestCaseError> {
+    let kc = kc.clamp(1, k.max(1));
+    let streamed = run_gemm_epi(&stream_bp(kc), a, bsrc, m, k, n, epi);
+    let oracle = run_gemm_epi(&scalar_oracle(kc), a, bsrc, m, k, n, epi);
+    prop_assert_eq!(streamed, oracle, "m={} k={} n={} kc={}", m, k, n, kc);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -216,6 +306,53 @@ proptest! {
         let implicit = run_gemm(&bp, &a, BSrc::Im2col(view), m, kdim, n);
         let materialized = run_gemm(&bp, &a, BSrc::Rows(&col), m, kdim, n);
         prop_assert_eq!(implicit, materialized);
+    }
+
+    /// The streaming driver (skinny M, B never packed) reproduces the
+    /// scalar engine's bits on row-major B: every `m` it serves, `n` tails
+    /// around its lane widths, multi-block `kc` boundaries, all four
+    /// epilogues, signed zeros and non-finite inputs.
+    #[test]
+    fn stream_rows_matches_scalar_bitwise(
+        mkn in (1usize..=8, 1usize..40, 1usize..70),
+        kc_idx in 0usize..3,
+        epi_idx in 0usize..4,
+        non_finite in proptest::bool::ANY,
+        raw in raw_values(8 * 40 + 40 * 70 + 8),
+    ) {
+        let (m, k, n) = mkn;
+        let data = special_values(&raw, non_finite);
+        let (a, rest) = data.split_at(m * k);
+        let (b, rest) = rest.split_at(k * n);
+        let kc = [5usize, 7, k][kc_idx];
+        stream_matches_oracle(a, BSrc::Rows(b), m, k, n, kc, epilogue(epi_idx, &rest[..m]))?;
+    }
+
+    /// The same on the two im2col views the conv path streams — the
+    /// forward (`Im2col`) and weight-gradient (`Im2colT`) GEMMs — over
+    /// stride {1,2} × padding {0,1,2} × kernel {1,3,5}, including windows
+    /// larger than the image.
+    #[test]
+    fn stream_im2col_matches_scalar_bitwise(
+        conv in (1usize..4, 3usize..9, 0usize..3, 1usize..3, 0usize..3),
+        m in 1usize..=8,
+        idx in (0usize..3, 0usize..4),
+        non_finite in proptest::bool::ANY,
+        raw in raw_values(3 * 8 * 8 + 8 * 12 * 12 + 8),
+    ) {
+        let (c_in, hw, k_idx, stride, padding) = conv;
+        let (kc_idx, epi_idx) = idx;
+        let kk = [1usize, 3, 5][k_idx];
+        let data = special_values(&raw, non_finite);
+        let (img, rest) = data.split_at(c_in * hw * hw);
+        let view = Im2colView::new(img, (c_in, hw, hw), (kk, kk), stride, padding);
+        let (kdim, npix) = (view.rows(), view.cols());
+        let (a, rest) = rest.split_at(m * kdim.max(npix));
+        let epi = epilogue(epi_idx, &rest[..m]);
+        let kc = [5usize, 7, kdim][kc_idx];
+        stream_matches_oracle(&a[..m * kdim], BSrc::Im2col(view), m, kdim, npix, kc, epi)?;
+        let kc = [5usize, 7, npix][kc_idx];
+        stream_matches_oracle(&a[..m * npix], BSrc::Im2colT(view), m, npix, kdim, kc, epi)?;
     }
 
     /// pixel_unshuffle inverts pixel_shuffle for any compatible shape.
